@@ -43,17 +43,7 @@ from .tails import (
     ti_dinv,
     ti2,
 )
-from .verify import (
-    Chain,
-    CheckResult,
-    all_ok,
-    amh_vectors,
-    check_amh,
-    check_basic,
-    check_extra,
-    check_local,
-    opposite_bruteforce,
-)
+from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 
 @dataclass
@@ -255,19 +245,11 @@ def search_chains(
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 
-def _pair_results(chain: Chain, partner: Chain, k: int) -> list[CheckResult]:
-    out = check_basic(chain, partner) + check_local(chain) + check_extra(chain)
-    if partner.mu != chain.mu:
-        out += check_basic(partner, chain) + check_local(partner) + check_extra(partner)
-    out += check_amh(amh_vectors(chain), amh_vectors(partner), k)
-    return out
-
-
 def _chains_pass(chains: dict[Partition, Chain], pairing: dict[Partition, Partition], k: int) -> bool:
     for mu, chain in chains.items():
         if mu > pairing[mu]:
             continue
-        if not all_ok(_pair_results(chain, chains[pairing[mu]], k)):
+        if not all(r.ok for _, r in check_pair(chain, chains[pairing[mu]], k)):
             return False
     return True
 
@@ -365,18 +347,13 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
     rows: list[tuple[str, CheckResult]] = []
     for mu, star in coll.pairs():
         chain, partner = coll.chains[mu], coll.chains[star]
-        name = format_partition(mu)
-        for r in check_basic(chain, partner) + check_local(chain) + check_extra(chain):
-            rows.append((name, r))
-        if star != mu:
-            pname = format_partition(star)
-            for r in check_basic(partner, chain) + check_local(partner) + check_extra(partner):
-                rows.append((pname, r))
-        for r in check_amh(amh_vectors(chain), amh_vectors(partner), sum(mu)):
-            rows.append((name, r))
+        rows += check_pair(chain, partner, sum(mu))
         if opposite_n:
-            for r in opposite_bruteforce(chain, partner, opposite_n):
-                rows.append((name, r))
+            name = format_partition(mu)
+            try:
+                rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
+            except RuntimeError as e:
+                rows.append((name, CheckResult("opposite", False, str(e))))
     by_k: dict[int, list[Partition]] = {}
     for mu in coll.members():
         by_k.setdefault(sum(mu), []).append(mu)
@@ -385,7 +362,12 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
         owner: dict[Vector, Partition] = {}
         clash = ""
         for mu in group:
-            for c in coll.chains[mu].elements_upto(d_hi):
+            try:
+                els = coll.chains[mu].elements_upto(d_hi)
+            except RuntimeError as e:
+                clash = str(e)
+                break
+            for c in els:
                 if c in owner and owner[c] != mu:
                     clash = (
                         f"{format_vector(c)} in {format_partition(owner[c])}"
@@ -584,12 +566,11 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
                 continue
             _, built = build_flagpole_pair(cur, mu)
             partner_chain = built.get(ctx.mu_star, built[ctx.mu])
-            results = _pair_results(built[ctx.mu], partner_chain, k)
-            if not all_ok(results):
-                bad = next(r for r in results if not r.ok)
+            bad = [r for _, r in check_pair(built[ctx.mu], partner_chain, k) if not r.ok]
+            if bad:
                 raise RuntimeError(
                     f"assembled pair for {format_partition(mu)} fails "
-                    f"{bad.clause}: {bad.witness}"
+                    f"{bad[0].clause}: {bad[0].witness}"
                 )
             chains.update(built)
             pairing[ctx.mu] = ctx.mu_star

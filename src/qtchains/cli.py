@@ -162,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtchains",
         description="Chain decompositions of deficit classes of Dyck vectors.",
     )
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility; work always runs sequentially",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="statistics of one or more vectors")

@@ -20,7 +20,10 @@ from .tails import tail2_iter, ti, ti2, ti_dinv, ti_mind
 
 
 class Chain:
-    """Lazy materialization of a chain from its segment initial points."""
+    """Lazy materialization of a chain from its segment initial points.
+
+    The segments are walked once, in order, into one list that only grows.
+    """
 
     def __init__(self, mu: Partition, start_dinv: int, generators: list[Vector]):
         if not generators:
@@ -28,42 +31,50 @@ class Chain:
         self.mu = tuple(mu)
         self.start_dinv = start_dinv
         self.generators = [tuple(g) for g in generators]
-        self._finite: list[Vector] | None = None
-        self._tail: list[Vector] = []
+        self._elements: list[Vector] = []
+        self._segment = -1  # index of the generator whose segment holds the last element
 
     def __repr__(self) -> str:
         return f"Chain({format_partition(self.mu)}, start={self.start_dinv})"
 
-    def _finite_part(self) -> list[Vector]:
-        if self._finite is None:
-            out: list[Vector] = []
-            for g in self.generators[:-1]:
-                c: Vector | None = g
-                while c is not None:
-                    out.append(c)
-                    c = nu1(c)
-            self._finite = out
-        return self._finite
+    def _grow(self, need: int) -> None:
+        """Walk the segments until at least need elements are held.
+
+        Only the final segment may reach the base dinv of mu, where a valid
+        chain holds its final generator; a non-final segment still running
+        there, or a final segment that stops, raises RuntimeError.
+        """
+        els = self._elements
+        last = len(self.generators) - 1
+        base_slot = ti_dinv(self.mu) - self.start_dinv
+        while len(els) < need:
+            c = nu1(els[-1]) if els else None
+            seg = self._segment
+            if c is None:
+                if seg == last:
+                    raise RuntimeError(f"final segment of {self} stopped")
+                seg += 1
+                c = self.generators[seg]
+            if seg < last and len(els) >= base_slot:
+                raise RuntimeError(
+                    f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
+                )
+            els.append(c)
+            self._segment = seg
 
     def elements_upto(self, d: int) -> list[Vector]:
         """Chain elements from start_dinv through dinv d, in order."""
-        fin = self._finite_part()
         need = d - self.start_dinv + 1
-        while len(fin) + len(self._tail) < need:
-            if not self._tail:
-                self._tail.append(self.generators[-1])
-            else:
-                nxt = nu1(self._tail[-1])
-                if nxt is None:
-                    raise RuntimeError(f"final segment of {self} stopped")
-                self._tail.append(nxt)
-        return (fin + self._tail)[:max(need, 0)]
+        self._grow(need)
+        return self._elements[:max(need, 0)]
 
     def element(self, d: int) -> Vector:
         """The chain element with dinv d."""
         if d < self.start_dinv:
             raise IndexError(f"{self} starts at {self.start_dinv}, asked for {d}")
-        return self.elements_upto(d)[d - self.start_dinv]
+        i = d - self.start_dinv
+        self._grow(i + 1)
+        return self._elements[i]
 
     def mind_profile(self, upto: int) -> list[int]:
         """Reduced lengths of the elements through dinv upto."""
@@ -131,63 +142,82 @@ def _res(clause: str, ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(clause, ok, "" if ok else witness)
 
 
-def check_basic(chain: Chain, partner: Chain) -> list[CheckResult]:
-    """Deficit and dinv bookkeeping, start positions, ending orbit, disjointness."""
-    out: list[CheckResult] = []
+def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:
+    """Every structural clause of a chain pair, as (context, result) rows.
+
+    The chain's basic, local and extra rows come first, then the partner's
+    when it is a different chain, then the pair's amh rows under the
+    chain's name.  Each chain is materialized through its amh horizon
+    once; a chain that cannot be gives a single failing basic-a row.
+    """
+    sides = [chain] if partner.mu == chain.mu else [chain, partner]
+    els: list[list[Vector]] = []
+    amh: list[AmhVectors] = []
+    for c in sides:
+        try:
+            els.append(c.elements_upto(c.amh_horizon()))
+        except RuntimeError as e:
+            return [(format_partition(c.mu), _res("basic-a", False, str(e)))]
+        amh.append(amh_vectors(c))
+    if len(sides) == 1:
+        basic_e = _res(
+            "basic-e",
+            chain.generators == partner.generators,
+            "self-paired chain differs from partner",
+        )
+    else:
+        shared = set(els[0]) & set(els[1])
+        basic_e = _res("basic-e", not shared, f"shared classes {sorted(shared)[:3]}")
+    rows: list[tuple[str, CheckResult]] = []
+    for c, other, c_els, c_amh in zip(sides, (partner, chain), els, amh):
+        prof = [len(x) for x in c_els]
+        results = (
+            check_basic(c, other, c_els)
+            + [basic_e]
+            + check_local(c, prof, c_amh)
+            + check_extra(c, c_els, prof, c_amh)
+        )
+        rows += [(format_partition(c.mu), r) for r in results]
+    name = format_partition(chain.mu)
+    return rows + [(name, r) for r in check_amh(amh[0], amh[-1], k)]
+
+
+def check_basic(chain: Chain, partner: Chain, els: list[Vector]) -> list[CheckResult]:
+    """Deficit and dinv bookkeeping, start positions and ending orbit.
+
+    els holds the chain's elements through its amh horizon.
+    """
     mu = chain.mu
     k = sum(mu)
-    horizon = chain.amh_horizon()
-    try:
-        els = chain.elements_upto(horizon)
-    except RuntimeError as e:
-        return [_res("basic-a", False, str(e))]
     bad = [
         (i, c)
         for i, c in enumerate(els)
         if defc(c) != k or dinv(c) != chain.start_dinv + i or reduce(c) != c
     ]
-    out.append(
+    return [
         _res(
             "basic-a",
             not bad,
             bad and f"element {bad[0][1]} at slot {chain.start_dinv + bad[0][0]}" or "",
-        )
-    )
-    out.append(
+        ),
         _res(
             "basic-b",
             len(set(els)) == len(els),
             f"repeated element in chain for {format_partition(mu)}",
-        )
-    )
-    out.append(
+        ),
         _res(
             "basic-c",
             chain.start_dinv == len(partner.mu) and partner.start_dinv == len(mu),
             f"starts {chain.start_dinv},{partner.start_dinv} vs lengths "
             f"{len(partner.mu)},{len(mu)}",
-        )
-    )
-    out.append(
+        ),
         _res(
             "basic-d",
             chain.generators[-1] == ti(mu),
             f"last generator {chain.generators[-1]} is not the base vector of "
             f"{format_partition(mu)}",
-        )
-    )
-    if chain.mu == partner.mu:
-        out.append(
-            _res(
-                "basic-e",
-                chain.generators == partner.generators,
-                "self-paired chain differs from partner",
-            )
-        )
-    else:
-        shared = set(els) & set(partner.elements_upto(partner.amh_horizon()))
-        out.append(_res("basic-e", not shared, f"shared classes {sorted(shared)[:3]}"))
-    return out
+        ),
+    ]
 
 
 def _run_profile(h: int, m: int, count: int) -> list[int]:
@@ -200,9 +230,8 @@ def _run_profile(h: int, m: int, count: int) -> list[int]:
     return out[:count]
 
 
-def check_local(chain: Chain) -> list[CheckResult]:
+def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckResult]:
     """The profile between descents follows the staircase of the descent value."""
-    amh = amh_vectors(chain)
     out = [
         _res(
             "local-a",
@@ -210,7 +239,6 @@ def check_local(chain: Chain) -> list[CheckResult]:
             f"last descent {amh.a[-1]} vs base dinv {ti_dinv(chain.mu)}",
         )
     ]
-    prof = chain.mind_profile(chain.amh_horizon())
     ok = True
     witness = ""
     for i in range(amh.size - 1):
@@ -226,9 +254,10 @@ def check_local(chain: Chain) -> list[CheckResult]:
     return out
 
 
-def check_extra(chain: Chain) -> list[CheckResult]:
+def check_extra(
+    chain: Chain, els: list[Vector], prof: list[int], amh: AmhVectors
+) -> list[CheckResult]:
     """Valley shape, run height bounds, drop criterion, extended orbit containment."""
-    amh = amh_vectors(chain)
     out: list[CheckResult] = []
 
     rising = False
@@ -241,7 +270,6 @@ def check_extra(chain: Chain) -> list[CheckResult]:
             break
     out.append(_res("extra-a", valley, f"h vector {amh.h} is not a valley"))
 
-    prof = chain.mind_profile(chain.amh_horizon())
     ok = True
     witness = ""
     for i in range(amh.size - 1):
@@ -254,7 +282,6 @@ def check_extra(chain: Chain) -> list[CheckResult]:
             break
     out.append(_res("extra-b", ok, witness))
 
-    els = chain.elements_upto(chain.amh_horizon())
     ok = True
     witness = ""
     for i in range(len(els) - 1):
@@ -335,11 +362,7 @@ def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckR
     for n in range(1, n_max + 1):
         lhs = cat_n_mu(n, chain)
         rhs = cat_n_mu(n, partner).swap()
-        out.append(
-            _res(
-                f"opposite-n{n}",
-                lhs == rhs,
-                f"{format_partition(chain.mu)}: {lhs} vs {rhs}",
-            )
-        )
+        ok = lhs == rhs
+        witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
+        out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out

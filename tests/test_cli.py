@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qtchains import cli
-from qtchains.cli import build_parser, run
+from qtchains.cli import run
 
 
 def lines(capsys):
@@ -157,11 +157,6 @@ def test_verify_rejects_damage(tmp_path, capsys):
 
     assert run(["export", str(bad)]) == 1
     assert "cannot load" in capsys.readouterr().err
-
-
-def test_parser_jobs_flag():
-    args = build_parser().parse_args(["--jobs", "4", "stats", "0"])
-    assert args.jobs == 4
 
 
 def declared_scripts():

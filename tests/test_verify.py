@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from qtchains.builder import ChainCollection, validate_collection
 from qtchains.dyck import dinv, parse_vector
 from qtchains.partitions import partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
@@ -10,21 +11,22 @@ from qtchains.tails import ti, ti_dinv
 from qtchains.verify import (
     AmhVectors,
     Chain,
+    CheckResult,
     all_ok,
     amh_vectors,
     cat_n_mu,
     check_amh,
-    check_basic,
-    check_extra,
-    check_local,
+    check_pair,
     opposite_bruteforce,
     report_lines,
 )
 
 
-def chain15() -> Chain:
-    gens = ["0012332", "0012222", "0012211", "0011111"]
-    return Chain((1, 1, 1, 1, 1), 5, [parse_vector(g) for g in gens])
+GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
+
+
+def chain15(gens: list = GENS15) -> Chain:
+    return Chain((1, 1, 1, 1, 1), 5, gens)
 
 
 def poly_from_profile(start: int, values: list[int], n: int, k: int) -> QtPolynomial:
@@ -64,10 +66,26 @@ def test_manual_chain_elements():
     for d in range(5, 20):
         assert dinv(c.element(d)) == d
 
+    # one growing list: lookups in any order agree with a fresh chain
+    fresh = chain15().elements_upto(26)
+    c = chain15()
+    assert c.element(20) == fresh[15]
+    assert c.elements_upto(8) == fresh[:4]
+    c.elements_upto(8).clear()  # callers get a copy, not the chain's list
+    assert c.elements_upto(8) == fresh[:4]
+    for d in (4, 0, -3):
+        assert c.elements_upto(d) == []
+    assert c.element(9) == fresh[4]
+    assert c.elements_upto(26) == fresh
+    assert [c.element(d) for d in range(5, 27)] == fresh
+
 
 def test_manual_chain_profile():
     c = chain15()
+    assert c.element(20) == chain15().element(20)
+    assert c.mind_profile(4) == []
     assert c.mind_profile(26) == [7, 8, 7, 8, 7, 8, 7] + [8] * 7 + [9] * 8
+    assert c.mind_profile(8) == chain15().mind_profile(8) == [7, 8, 7, 8]
     assert c.amh_horizon() == 19
 
 
@@ -82,11 +100,49 @@ def test_manual_chain_amh():
 
 def test_manual_chain_checks():
     c = chain15()
-    assert all_ok(check_basic(c, c))
-    assert all_ok(check_local(c))
-    assert all_ok(check_extra(c))
-    lines = report_lines(check_local(c))
+    rows = check_pair(c, c, 5)
+    assert {ctx for ctx, _ in rows} == {"1^5"}
+    results = [r for _, r in rows]
+    assert all_ok(results)
+    assert [r.clause for r in results] == [
+        "basic-a", "basic-b", "basic-c", "basic-d", "basic-e",
+        "local-a", "local-b",
+        "extra-a", "extra-b", "extra-c", "extra-d",
+        "amh-a", "amh-b", "amh-c",
+    ]
+    lines = report_lines(results)
     assert all(line.endswith(" ok") for line in lines)
+
+
+def unmaterializable_fails(base_coll, bad: Chain, message: str) -> None:
+    """check_pair and validate_collection report the chain, without raising."""
+    assert check_pair(bad, bad, 5) == [("1^5", CheckResult("basic-a", False, message))]
+    coll = ChainCollection({**base_coll.chains, bad.mu: bad}, base_coll.pairing, 5)
+    fails = [(ctx, r) for ctx, r in validate_collection(coll, opposite_n=6) if not r.ok]
+    assert fails == [
+        ("1^5", CheckResult("basic-a", False, message)),
+        ("1^5", CheckResult("opposite", False, message)),
+        ("deficit 5", CheckResult("disjoint", False, message)),
+    ]
+
+
+def test_chain_with_endless_first_segment_fails(base_coll):
+    bad = chain15([ti((1,))] + GENS15[1:])
+    with pytest.raises(RuntimeError, match="segment 0 of"):
+        bad.elements_upto(11)
+    msg = "segment 0 of Chain(1^5, start=5) still runs at the base dinv 11"
+    unmaterializable_fails(base_coll, bad, msg)
+    # shifted by two, segment 2 would start at the base dinv; asking again
+    # must not skip past it
+    shifted = Chain((1, 1, 1, 1, 1), 7, GENS15)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="segment 2 of"):
+            shifted.elements_upto(20)
+
+
+def test_chain_without_base_generator_fails(base_coll):
+    bad = chain15(GENS15[:-1])
+    unmaterializable_fails(base_coll, bad, "final segment of Chain(1^5, start=5) stopped")
 
 
 def test_first_generator_has_no_predecessor():
