@@ -3,7 +3,6 @@
 from .builder import (
     ChainCollection,
     antipode,
-    antipode_inverse,
     build_flagpole_pair,
     extend_all,
     load_collection,
@@ -24,7 +23,7 @@ from .dyck import (
     reduce,
 )
 from .flagpole import count_flagpole, is_flagpole, phi, phi_inv, psi, psi_inv
-from .partitions import conjugate, format_partition, parse_partition, partitions_of
+from .partitions import format_partition, parse_partition, partitions_of
 from .poly import QtPolynomial, cat_n
 from .steps import nd, nd1, nd2, nu, nu1, nu2
 from .tails import locate_in_tail, s_vectors, tail_elements, ti, ti2
@@ -38,13 +37,11 @@ __all__ = [
     "QtPolynomial",
     "amh_vectors",
     "antipode",
-    "antipode_inverse",
     "area",
     "build_flagpole_pair",
     "cat_n",
     "cat_n_mu",
     "class_from_partition",
-    "conjugate",
     "count_flagpole",
     "defc",
     "dinv",

@@ -20,17 +20,15 @@ from .dyck import (
     Vector,
     area,
     class_from_partition,
-    defc,
     dinv,
     enumerate_deficit,
     format_vector,
-    mind,
     parse_vector,
     partition_from_class,
     qdv_from_partition,
     reduce,
 )
-from .flagpole import ftype, is_flagpole, is_generalized_flagpole, psi_inv, template_match
+from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv, template_match
 from .partitions import Partition, format_partition, parse_partition, partitions_of
 from .steps import is_nu1_initial, nu1
 from .tails import (
@@ -388,7 +386,10 @@ def coverage_check(coll: ChainCollection, k: int, d_hi: int | None = None) -> Ch
     have: list[Vector] = []
     for mu in coll.members():
         if sum(mu) == k:
-            have.extend(coll.chains[mu].elements_upto(d_hi))
+            try:
+                have.extend(coll.chains[mu].elements_upto(d_hi))
+            except RuntimeError as e:
+                return CheckResult(f"coverage-k{k}", False, str(e))
     want = enumerate_deficit(k, d_hi)
     ok = sorted(have) == sorted(want)
     witness = ""
@@ -480,30 +481,6 @@ def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
     return _double_lift(z)
 
 
-def antipode_inverse(coll: ChainCollection, v: Vector) -> Vector | None:
-    """Mirror of a twice-raised class through the chain that holds its core.
-
-    None when the image does not fit at the same length.
-    """
-    if len(v) < 3 or v[:2] != (0, 0):
-        raise ValueError(f"{format_vector(v)} does not start 00")
-    z = reduce(tuple(x - 1 for x in v[2:]))
-    kz, dz = defc(z), dinv(z)
-    rho = None
-    for mu in coll.members():
-        chain = coll.chains[mu]
-        if sum(mu) == kz and chain.start_dinv <= dz and chain.element(dz) == z:
-            rho = mu
-            break
-    if rho is None:
-        raise RuntimeError(f"{format_vector(z)} is in no stored chain")
-    gamma = coll.chains[coll.pairing[rho]].element(area(v) - 1)
-    p = partition_from_class(gamma)
-    if mind(p) > len(v) - 2:
-        return None
-    return _double_lift(qdv_from_partition(p, len(v) - 2))
-
-
 def _assemble(
     coll: ChainCollection,
     mu: Partition,
@@ -524,17 +501,14 @@ def _assemble(
     return Chain(mu, len(mu_star), gens)
 
 
-def build_flagpole_pair(
-    coll: ChainCollection, mu: Partition
-) -> tuple[BuildContext, dict[Partition, Chain]]:
-    """Assemble the chain pair grown from the template of mu."""
-    ctx = build_context(coll, mu)
+def build_flagpole_pair(coll: ChainCollection, ctx: BuildContext) -> dict[Partition, Chain]:
+    """Assemble the chain pair that ctx resolved, keyed by partition."""
     built = {ctx.mu: _assemble(coll, ctx.mu, ctx.mu_star, ctx.lam, ctx.stages, ctx.stages_star)}
     if ctx.mu_star != ctx.mu:
         built[ctx.mu_star] = _assemble(
             coll, ctx.mu_star, ctx.mu, ctx.lam_star, ctx.stages_star, ctx.stages
         )
-    return ctx, built
+    return built
 
 
 def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> ChainCollection:
@@ -558,13 +532,13 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
                     continue
             elif not is_generalized_flagpole(mu, pairing):
                 continue
-            lam = ftype(mu)
-            if lam is None or lam not in pairing:
+            # either test passing means the base of mu is a template
+            if phi(mu)[0] not in pairing:
                 continue
             ctx = build_context(cur, mu)
             if not needed_partitions(ctx) <= set(chains):
                 continue
-            _, built = build_flagpole_pair(cur, mu)
+            built = build_flagpole_pair(cur, ctx)
             partner_chain = built.get(ctx.mu_star, built[ctx.mu])
             bad = [r for _, r in check_pair(built[ctx.mu], partner_chain, k) if not r.ok]
             if bad:

@@ -17,10 +17,29 @@ from .dyck import (
     reduce,
 )
 from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound
-from .partitions import count_partitions, format_partition, parse_partition
+from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
 from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
 from .verify import cat_n_mu, report_lines
+
+
+def _partition_arg(word: str) -> Partition:
+    """Argument type for a partition word; a bad word is a usage error naming it."""
+    try:
+        return parse_partition(word)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad partition {word!r}: {exc}") from None
+
+
+def _count_arg(word: str) -> int:
+    """Argument type for a count or index, which cannot be negative."""
+    try:
+        n = int(word)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {word!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {word!r}")
+    return n
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -43,20 +62,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    mu = parse_partition(args.mu)
     if args.plateau is not None:
-        rows = plateau(mu, args.plateau)
+        rows = plateau(args.mu, args.plateau)
     else:
-        rows = tail_elements(mu, args.count)
+        rows = tail_elements(args.mu, args.count)
     for v in rows:
         print(f"{format_vector(v)} dinv {dinv(v)}")
     return 0
 
 
 def _cmd_ti2(args: argparse.Namespace) -> int:
-    mu = parse_partition(args.mu)
-    t = ti(mu)
-    t2 = ti2(mu)
+    t = ti(args.mu)
+    t2 = ti2(args.mu)
     print(f"base {format_vector(t)} dinv {dinv(t)} len {len(t)}")
     print(f"extended {format_vector(t2)} dinv {dinv(t2)} len {len(t2)}")
     if t2 != t:
@@ -123,12 +140,12 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if args.mu is None:
         print(cat_n(args.n))
         return 0
-    mu = parse_partition(args.mu)
+    mu = args.mu
     coll = builder.seed_base_collection()
     if sum(mu) > coll.k_max:
         coll = builder.extend_all(coll, sum(mu), mode="flagpole")
     if mu not in coll.chains:
-        print(f"no chain stored for {args.mu}", file=sys.stderr)
+        print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
     print(cat_n_mu(args.n, coll.chains[mu]))
     return 0
@@ -139,7 +156,8 @@ def _cmd_absorb(args: argparse.Namespace) -> int:
     print("k leftover2 leftover1 ratio")
     for k in range(args.start, stop + 1):
         second, first = absorption_counts(k)
-        print(f"{k} {second} {first} {second / first:.4f}")
+        ratio = f"{second / first:.4f}" if first else "-"
+        print(f"{k} {second} {first} {ratio}")
     return 0
 
 
@@ -169,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("tail", help="elements of the orbit indexed by a partition")
-    p.add_argument("mu")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--plateau", type=int, default=None, help="list one length plateau instead")
+    p.add_argument("mu", type=_partition_arg)
+    p.add_argument("--count", type=_count_arg, default=10)
+    p.add_argument("--plateau", type=_count_arg, default=None, help="list one length plateau instead")
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("ti2", help="extended orbit base and its stage vectors")
-    p.add_argument("mu")
+    p.add_argument("mu", type=_partition_arg)
     p.set_defaults(func=_cmd_ti2)
 
     p = sub.add_parser("flagpole", help="counts of pole partitions by size")
@@ -199,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalan", help="the full path sum polynomial, or one chain's share")
     p.add_argument("n", type=int)
-    p.add_argument("--mu", default=None)
+    p.add_argument("--mu", type=_partition_arg, default=None)
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("absorb", help="orbit absorption counts below the coverage bound")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterator
 
 from .partitions import Partition
 
@@ -79,13 +78,6 @@ def reduce(v: Vector) -> Vector:
     return v
 
 
-def is_reduced(v: Vector) -> bool:
-    """True when v equals its own reduction."""
-    if min(v) < 0:
-        return False
-    return len(v) == 1 or v[1] == 0 or 0 in v[2:]
-
-
 # ---------------------------------------------------------------- statistics
 
 def area(v: Vector) -> int:
@@ -116,30 +108,6 @@ def defc(v: Vector) -> int:
     return comb(n, 2) - sum(v) - dinv(v)
 
 
-def defc_pairs(v: Vector) -> int:
-    """Count the deficit pairs of a nonnegative vector directly.
-
-    A pair i < j counts when v_i - v_j >= 2, or when v_i < v_j and the value
-    v_i already occurred strictly before position i.
-    """
-    if min(v) < 0:
-        raise ValueError("defc_pairs needs a nonnegative vector")
-    first: dict[int, int] = {}
-    for idx, x in enumerate(v):
-        first.setdefault(x, idx)
-    total = 0
-    for j in range(len(v)):
-        for i in range(j):
-            if v[i] - v[j] >= 2 or (v[i] < v[j] and first[v[i]] < i):
-                total += 1
-    return total
-
-
-def area_delta(v: Vector) -> int:
-    """Area of the reduced representative."""
-    return sum(reduce(v))
-
-
 # ------------------------------------------------------- partitions <-> classes
 
 def mind(p: Partition) -> int:
@@ -155,11 +123,6 @@ def qdv_from_partition(p: Partition, n: int) -> Vector:
         raise ValueError(f"need n > {len(p)} for {p}")
     ell = len(p)
     return tuple(j - (p[n - j - 1] if n - j - 1 < ell else 0) for j in range(n))
-
-
-def area_n(p: Partition, n: int) -> int:
-    """Area of the length-n vector of the class of p."""
-    return comb(n, 2) - sum(p)
 
 
 def partition_from_class(v: Vector) -> Partition:
@@ -179,38 +142,7 @@ def class_from_partition(p: Partition) -> Vector:
     return qdv_from_partition(p, mind(p))
 
 
-def classify_vector(v: Vector) -> str:
-    """One of 'binary', 'ternary-reduced', 'ternary-nonreduced', 'cycled-ternary', 'other'."""
-    check_qdv(v)
-    if all(x in (0, 1) for x in v):
-        return "binary"
-    if all(0 <= x <= 2 for x in v):
-        return "ternary-reduced" if is_reduced(v) else "ternary-nonreduced"
-    if all(-1 <= x <= 2 for x in v):
-        last2 = max((i for i, x in enumerate(v) if x == 2), default=-1)
-        if all(x != -1 for x in v[:last2]):
-            return "cycled-ternary"
-    return "other"
-
-
 # ------------------------------------------------------------- enumeration
-
-def dyck_vectors(n: int) -> Iterator[Vector]:
-    """Yield every nonnegative length-n vector, in lexicographic order."""
-    if n < 1:
-        return
-
-    def go(prefix: list[int]) -> Iterator[Vector]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for x in range(prefix[-1] + 2):
-            prefix.append(x)
-            yield from go(prefix)
-            prefix.pop()
-
-    yield from go([0])
-
 
 def enumerate_deficit(k: int, d_max: int) -> list[Vector]:
     """All reduced vectors with deficit k and dinv at most d_max.

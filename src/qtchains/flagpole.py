@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .dyck import Vector, dinv
 from .partitions import Partition, count_partitions, partitions_of
-from .steps import nu
-from .tails import b_word, locate_in_tail, partition_from_b_word, s_vectors, ti2
+from .tails import b_word, partition_from_b_word, s_vectors, ti2
 
 
 def v_template(lam: Partition, a: int, eps: int) -> Vector:
@@ -71,12 +70,6 @@ def is_flagpole(mu: Partition) -> bool:
     return by_bound
 
 
-def ftype(mu: Partition) -> Partition | None:
-    """Flag type: the partition in the template of the extended orbit base."""
-    m = template_match(ti2(mu))
-    return None if m is None else m[0]
-
-
 def phi(mu: Partition) -> tuple[Partition, int, int] | None:
     """(lam, a, eps) encoding of mu via its extended orbit base, when a template."""
     return template_match(ti2(mu))
@@ -86,24 +79,6 @@ def phi_inv(lam: Partition, a: int, eps: int) -> Partition:
     """Partition whose extended orbit base is the (lam, a, eps) template."""
     summ = s_vectors(v_template(lam, a, eps))
     return summ.mu
-
-
-def phi_inv_iterated(lam: Partition, a: int, eps: int) -> Partition:
-    """Same as phi_inv but by walking the orbit to the first binary class."""
-    v = v_template(lam, a, eps)
-    while any(x > 1 for x in v):
-        nxt = nu(v)
-        if nxt is None:
-            raise RuntimeError(f"orbit from {v} stopped early")
-        v = nxt
-    loc = locate_in_tail(v)
-    if loc is None or loc.plateau_index != 0:
-        raise RuntimeError(f"orbit from template did not reach a base class: {v}")
-    return loc.mu
-
-
-def template_length(lam: Partition, a: int) -> int:
-    return a + 3 + (lam[0] if lam else 0) + len(lam)
 
 
 def psi(mu: Partition) -> tuple[Partition, int, int] | None:

@@ -107,13 +107,6 @@ def count_partitions(n: int) -> int:
     return count_partitions_max(n, n)
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the diagram of p."""
-    if not p:
-        return ()
-    return tuple(sum(1 for a in p if a >= i) for i in range(1, p[0] + 1))
-
-
 def multiplicities(p: Partition) -> tuple[int, ...]:
     """(n_1, ..., n_r) where n_i counts the parts equal to i and r is the largest part."""
     if not p:

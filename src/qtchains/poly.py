@@ -29,9 +29,6 @@ class QtPolynomial:
         """Exchange q and t."""
         return QtPolynomial({(t, q): c for (q, t), c in self.terms.items()})
 
-    def coefficient(self, q_exp: int, t_exp: int) -> int:
-        return self.terms.get((q_exp, t_exp), 0)
-
     def __str__(self) -> str:
         """Terms with ascending t exponent, ties by descending q exponent."""
         if not self.terms:

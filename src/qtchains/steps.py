@@ -8,22 +8,14 @@ All functions take and return reduced vectors.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .dyck import (
     Vector,
     class_from_partition,
-    lift,
     partition_from_class,
     reduce,
     unlift,
 )
 from .partitions import Partition
-
-
-class StepKind(str, Enum):
-    NU1 = "nu1"
-    NU2 = "nu2"
 
 
 # ------------------------------------------------------------ first order
@@ -49,12 +41,6 @@ def is_nu1_initial(c: Vector) -> bool:
     return not p or p[0] < len(p)
 
 
-def is_nu1_final(c: Vector) -> bool:
-    """True when the first-order step is undefined on this class."""
-    p = partition_from_class(c)
-    return bool(p) and p[0] > len(p) + 2
-
-
 def nu1(c: Vector) -> Vector | None:
     q = nu1_partition(partition_from_class(c))
     return None if q is None else class_from_partition(q)
@@ -63,49 +49,6 @@ def nu1(c: Vector) -> Vector | None:
 def nd1(c: Vector) -> Vector | None:
     q = nd1_partition(partition_from_class(c))
     return None if q is None else class_from_partition(q)
-
-
-def leader(v: Vector) -> int:
-    """Largest d such that v starts 0, 1, 2, ..., d."""
-    d = 0
-    while d + 1 < len(v) and v[d + 1] == d + 1:
-        d += 1
-    return d
-
-
-def nu1_qdv(v: Vector) -> Vector | None:
-    """First-order step by vector surgery instead of part surgery.
-
-    On a representative with second entry >= 0: undefined when the leading
-    staircase overshoots the last entry by more than 2, else delete the top
-    of the staircase and append one below it.
-    """
-    v = reduce(v)
-    if len(v) == 1:
-        v = lift(v)
-    d = leader(v)
-    if d > v[-1] + 2:
-        return None
-    return reduce(v[:d] + v[d + 1 :] + (d - 1,))
-
-
-def nd1_qdv(v: Vector) -> Vector | None:
-    """Inverse of nu1_qdv by vector surgery.
-
-    Undefined when the leading staircase falls short of the last entry;
-    else delete the last entry and reinsert its successor value after the
-    first occurrence of that value.
-    """
-    v = reduce(v)
-    if v == (0,):
-        return None
-    d = leader(v)
-    s = v[-1]
-    if d < s:
-        return None
-    body = v[:-1]
-    i = body.index(s)
-    return reduce(body[: i + 1] + (s + 1,) + body[i + 1 :])
 
 
 # ----------------------------------------------------------- second order
@@ -227,36 +170,4 @@ def nd(c: Vector) -> Vector | None:
     out = nd1(c)
     if out is None:
         out = nd2(c)
-    return out
-
-
-def nu_step_kind(c: Vector) -> StepKind | None:
-    """Which rule nu would apply at this class, or None when neither fires."""
-    c = reduce(c)
-    if nu1(c) is not None:
-        return StepKind.NU1
-    if nu2(c) is not None:
-        return StepKind.NU2
-    return None
-
-
-def nu_segment(c: Vector, max_steps: int) -> list[Vector]:
-    """The class and up to max_steps successors under the combined map."""
-    out = [reduce(c)]
-    for _ in range(max_steps):
-        nxt = nu(out[-1])
-        if nxt is None:
-            break
-        out.append(nxt)
-    return out
-
-
-def nu1_segment(c: Vector, max_steps: int) -> list[Vector]:
-    """The class and up to max_steps successors under the first-order step alone."""
-    out = [reduce(c)]
-    while len(out) <= max_steps:
-        nxt = nu1(out[-1])
-        if nxt is None:
-            break
-        out.append(nxt)
     return out

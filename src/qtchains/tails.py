@@ -14,15 +14,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .dyck import (
-    Vector,
-    classify_vector,
-    dinv,
-    reduce,
-    unlift,
-)
+from .dyck import Vector, dinv, reduce
 from .partitions import Partition, count_partitions_max, multiplicities, partitions_of
-from .steps import nd, nu, nu1
+from .steps import nd, nu
 
 
 def b_word(mu: Partition) -> Vector:
@@ -67,17 +61,6 @@ def ti_dinv(mu: Partition) -> int:
     m1 = mu[0] if mu else 0
     ell = len(mu)
     return comb(m1 + ell + 1, 2) - ell - sum(mu)
-
-
-def tail_iter(mu: Partition) -> Iterator[Vector]:
-    """The first-order orbit of the base class of mu, by iterating the step map."""
-    c = ti(mu)
-    while True:
-        yield c
-        nxt = nu1(c)
-        if nxt is None:
-            raise RuntimeError(f"first-order orbit of {mu} stopped at {c}")
-        c = nxt
 
 
 def plateau(mu: Partition, j: int) -> list[Vector]:
@@ -215,12 +198,6 @@ def absorption_counts(k: int) -> tuple[int, int]:
     return second, first
 
 
-def absorption_ratio(k: int) -> float:
-    """Fraction of the first-order leftover still left by second-order orbits."""
-    second, first = absorption_counts(k)
-    return second / first
-
-
 # ------------------------------------------------------------ second order
 
 @lru_cache(maxsize=None)
@@ -243,38 +220,6 @@ def tail2_iter(mu: Partition) -> Iterator[Vector]:
         if nxt is None:
             raise RuntimeError(f"extended orbit of {mu} stopped at {c}")
         c = nxt
-
-
-def has_cycled_ternary_rep(c: Vector) -> bool:
-    """True when some representative has entries in -1..2 with no -1 before a 2."""
-    v: Vector | None = reduce(c)
-    while v is not None:
-        if classify_vector(v) != "other":
-            return True
-        v = unlift(v)
-    return False
-
-
-def locate_in_tail2(c: Vector) -> Partition | None:
-    """Partition whose extended orbit contains the class of c, or None."""
-    if not has_cycled_ternary_rep(c):
-        return None
-    v = reduce(c)
-    while True:
-        prev = nd(v)
-        if prev is None:
-            break
-        v = prev
-    # walk forward to the first binary class, which is a first-order base point
-    while any(x > 1 for x in v):
-        nxt = nu(v)
-        if nxt is None:
-            return None
-        v = nxt
-    loc = locate_in_tail(v)
-    if loc is None or loc.plateau_index != 0:
-        return None
-    return loc.mu
 
 
 # ------------------------------------- closed forms for the extended orbit
@@ -358,16 +303,6 @@ class TailTwoSummary:
     s_vectors: tuple[Vector, ...]
     lengths: tuple[int, ...]
     dinvs: tuple[int, ...]
-
-    def profile(self, count: int) -> list[int]:
-        out: list[int] = []
-        for j in range(len(self.s_vectors) - 1):
-            span = self.dinvs[j + 1] - self.dinvs[j]
-            out.extend(staircase_profile(self.lengths[j], span))
-            if len(out) >= count:
-                return out[:count]
-        out.extend(staircase_profile(self.lengths[-1], count - len(out)))
-        return out[:count]
 
 
 def s_vectors(v: Vector) -> TailTwoSummary:

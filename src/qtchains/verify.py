@@ -16,7 +16,7 @@ from .dyck import Vector, defc, dinv, reduce
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial
 from .steps import nu1
-from .tails import tail2_iter, ti, ti2, ti_dinv, ti_mind
+from .tails import staircase_profile, tail2_iter, ti, ti2, ti_dinv, ti_mind
 
 
 class Chain:
@@ -76,10 +76,6 @@ class Chain:
         self._grow(i + 1)
         return self._elements[i]
 
-    def mind_profile(self, upto: int) -> list[int]:
-        """Reduced lengths of the elements through dinv upto."""
-        return [len(c) for c in self.elements_upto(upto)]
-
     def amh_horizon(self) -> int:
         return ti_dinv(self.mu) + ti_mind(self.mu) + 1
 
@@ -97,19 +93,17 @@ class AmhVectors:
         return len(self.a)
 
 
-def amh_vectors(chain: Chain) -> AmhVectors:
-    """Descent positions, flat runs, and lengths of the chain's profile.
+def amh_vectors(start_dinv: int, prof: list[int]) -> AmhVectors:
+    """Descent positions, flat runs, and lengths of a chain's length profile.
 
-    A descent is the start plus every place the reduced length drops; the
-    profile is scanned through the horizon past the final base class, after
-    which no further drops occur.
+    prof holds the reduced lengths of the chain's elements from start_dinv
+    on.  A descent is the start plus every place the length drops; scanned
+    through the horizon past the final base class, no further drops occur.
     """
-    prof = chain.mind_profile(chain.amh_horizon())
-    i0 = chain.start_dinv
     des = [0] + [j for j in range(1, len(prof)) if prof[j - 1] > prof[j]]
     a, m, h = [], [], []
     for j in des:
-        a.append(i0 + j)
+        a.append(start_dinv + j)
         h.append(prof[j])
         r = 0
         while j + r + 1 < len(prof) and prof[j + r + 1] == prof[j]:
@@ -125,10 +119,6 @@ class CheckResult:
     clause: str
     ok: bool
     witness: str = ""
-
-
-def all_ok(results: list[CheckResult]) -> bool:
-    return all(r.ok for r in results)
 
 
 def report_lines(results: list[CheckResult]) -> list[str]:
@@ -152,13 +142,15 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
     """
     sides = [chain] if partner.mu == chain.mu else [chain, partner]
     els: list[list[Vector]] = []
+    profs: list[list[int]] = []
     amh: list[AmhVectors] = []
     for c in sides:
         try:
             els.append(c.elements_upto(c.amh_horizon()))
         except RuntimeError as e:
             return [(format_partition(c.mu), _res("basic-a", False, str(e)))]
-        amh.append(amh_vectors(c))
+        profs.append([len(x) for x in els[-1]])
+        amh.append(amh_vectors(c.start_dinv, profs[-1]))
     if len(sides) == 1:
         basic_e = _res(
             "basic-e",
@@ -169,8 +161,7 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
         shared = set(els[0]) & set(els[1])
         basic_e = _res("basic-e", not shared, f"shared classes {sorted(shared)[:3]}")
     rows: list[tuple[str, CheckResult]] = []
-    for c, other, c_els, c_amh in zip(sides, (partner, chain), els, amh):
-        prof = [len(x) for x in c_els]
+    for c, other, c_els, prof, c_amh in zip(sides, (partner, chain), els, profs, amh):
         results = (
             check_basic(c, other, c_els)
             + [basic_e]
@@ -220,16 +211,6 @@ def check_basic(chain: Chain, partner: Chain, els: list[Vector]) -> list[CheckRe
     ]
 
 
-def _run_profile(h: int, m: int, count: int) -> list[int]:
-    """h taken m+1 times, then h+1 taken h times, h+2 taken h+1 times, ..."""
-    out = [h] * (m + 1)
-    lvl = h + 1
-    while len(out) < count:
-        out.extend([lvl] * (lvl - 1))
-        lvl += 1
-    return out[:count]
-
-
 def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckResult]:
     """The profile between descents follows the staircase of the descent value."""
     out = [
@@ -245,8 +226,10 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
         lo = amh.a[i] - chain.start_dinv
         hi = amh.a[i + 1] - chain.start_dinv
         run = prof[lo:hi]
-        want = _run_profile(amh.h[i], amh.m[i], len(run))
-        if run != want or len(run) < amh.m[i] + 2:
+        h, m = amh.h[i], amh.m[i]
+        # h over the flat run after the descent, then the staircase above h
+        want = ([h] * m + staircase_profile(h, len(run) - m))[: len(run)]
+        if run != want or len(run) < m + 2:
             ok = False
             witness = f"run {i} is {run}, wanted prefix {want} with a rise"
             break

@@ -12,11 +12,8 @@ from qtchains.dyck import (
     area,
     class_from_partition,
     defc,
-    defc_pairs,
     dinv,
-    dyck_vectors,
     enumerate_deficit,
-    is_reduced,
     lift,
     mind,
     parse_vector,
@@ -39,21 +36,14 @@ from qtchains.steps import (
     nu2,
 )
 from qtchains.tails import (
-    absorption_ratio,
+    absorption_counts,
     s_vectors,
     staircase_profile,
     tail_elements,
-    tail_iter,
     ti2,
     ti_mind,
 )
-from qtchains.verify import (
-    all_ok,
-    amh_vectors,
-    cat_n_mu,
-    check_amh,
-    opposite_bruteforce,
-)
+from qtchains.verify import cat_n_mu, check_amh, opposite_bruteforce
 from qtchains.builder import (
     antipode,
     bridge_vector,
@@ -61,7 +51,7 @@ from qtchains.builder import (
     validate_collection,
 )
 
-from oracles import dinv_extended
+from oracles import chain_amh, defc_pairs, dinv_extended, dyck_vectors, is_reduced, tail_iter
 
 
 def _report(num: int, ok: bool) -> None:
@@ -165,14 +155,14 @@ def test_criterion_02_source_goldens(base_coll, coll12):
             )
             checks.append(bridge_vector(coll12, lam, i, 10) == parse_vector(m_text))
 
-    checks.append(chain.mind_profile(73) == [11, 12, 10, 11, 10, 11] + [10, 11] * 4 + _PROFILE)
-    checks.append(
-        partner.mind_profile(59) == [12, 13, 11, 12, 10, 11] + [10, 11] * 4 + _PROFILE_STAR
-    )
+    prof = [len(c) for c in chain.elements_upto(73)]
+    checks.append(prof == [11, 12, 10, 11, 10, 11] + [10, 11] * 4 + _PROFILE)
+    prof_star = [len(c) for c in partner.elements_upto(59)]
+    checks.append(prof_star == [12, 13, 11, 12, 10, 11] + [10, 11] * 4 + _PROFILE_STAR)
 
-    amh15 = amh_vectors(base_coll.chain((1, 1, 1, 1, 1)))
+    amh15 = chain_amh(base_coll.chain((1, 1, 1, 1, 1)))
     checks += [amh15.a == (5, 7, 9, 11), amh15.m == (0,) * 4, amh15.h == (7,) * 4]
-    amh12 = amh_vectors(chain)
+    amh12 = chain_amh(chain)
     checks += [
         amh12.a == (7, 9, 11, 13, 15, 17, 19, 21, 23, 35, 48),
         amh12.h == (11, 10, 10, 10, 10, 10, 10, 10, 10, 11, 12),
@@ -224,9 +214,8 @@ def test_criterion_06_base_collection(base_coll):
     for k in range(6):
         ok = ok and coverage_check(base_coll, k).ok
     for mu, star in base_coll.pairs():
-        ok = ok and all_ok(
-            opposite_bruteforce(base_coll.chain(mu), base_coll.chain(star), 10)
-        )
+        rows = opposite_bruteforce(base_coll.chain(mu), base_coll.chain(star), 10)
+        ok = ok and all(r.ok for r in rows)
     _report(6, ok)
 
 
@@ -236,13 +225,13 @@ def test_criterion_07_deficit_twelve_build(coll12):
     mu = parse_partition("531^4")
     star = parse_partition("3^221^4")
     chain, partner = coll12.chain(mu), coll12.chain(star)
-    amh = amh_vectors(chain)
+    amh = chain_amh(chain)
     ok = coll12.partner(mu) == star
     ok = ok and amh.a == (7, 9, 11, 13, 15, 17, 19, 21, 23, 35, 48)
     ok = ok and amh.h == (11, 10, 10, 10, 10, 10, 10, 10, 10, 11, 12)
     ok = ok and amh.m == (0,) * 11
-    ok = ok and all_ok(check_amh(amh, amh_vectors(partner), 12))
-    ok = ok and all_ok(opposite_bruteforce(chain, partner, 12))
+    ok = ok and all(r.ok for r in check_amh(amh, chain_amh(partner), 12))
+    ok = ok and all(r.ok for r in opposite_bruteforce(chain, partner, 12))
     _report(7, ok)
 
 
@@ -321,7 +310,7 @@ def test_criterion_08_step_laws():
 # 9. second-order orbits keep the uncovered share below the stated cap
 
 def test_criterion_09_absorption():
-    ok = all(absorption_ratio(k) < 0.38 for k in range(6, 15))
+    ok = all(second / first < 0.38 for second, first in map(absorption_counts, range(6, 15)))
     _report(9, ok)
 
 

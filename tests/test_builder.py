@@ -1,10 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtchains.builder import (
+    ChainCollection,
     antipode,
-    antipode_inverse,
     bridge_vector,
     build_context,
     collection_payload,
@@ -17,11 +21,13 @@ from qtchains.builder import (
     seed_base_collection,
     validate_collection,
 )
-from qtchains.dyck import dinv, parse_vector
+from qtchains.dyck import dinv, format_vector, parse_vector
 from qtchains.flagpole import is_flagpole
 from qtchains.partitions import format_partition, parse_partition, partitions_of
 from qtchains.tails import format_profile
-from qtchains.verify import amh_vectors
+from qtchains.verify import Chain, CheckResult
+
+from oracles import antipode_inverse, chain_amh
 
 BASE_PRINTED = [
     ("0", "0", 0, "0"),
@@ -94,6 +100,16 @@ def test_base_coverage(base_coll):
         assert coverage_check(base_coll, k).ok
 
 
+def test_coverage_reports_unwalkable_chain(base_coll):
+    mu = (1, 1, 1, 1, 1)
+    good = base_coll.chain(mu)
+    bad = Chain(mu, good.start_dinv, good.generators[:-1])
+    coll = ChainCollection({**base_coll.chains, mu: bad}, base_coll.pairing, 5)
+    msg = "final segment of Chain(1^5, start=5) stopped"
+    assert coverage_check(coll, 5) == CheckResult("coverage-k5", False, msg)
+    assert coverage_check(coll, 4).ok
+
+
 # --------------------------------------------------------------- persistence
 
 def test_save_load_round_trip(tmp_path, base_coll):
@@ -119,6 +135,43 @@ def test_load_rejects_damage(tmp_path, base_coll):
     p.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="format"):
         load_collection(p)
+
+
+def _changed(data, old, values):
+    return data.draw(values.filter(lambda new: new != old))
+
+
+partition_words = st.lists(st.integers(1, 9), max_size=8).map(
+    lambda xs: format_partition(tuple(sorted(xs, reverse=True)))
+)
+vector_words = st.lists(st.integers(-3, 1), max_size=10).map(
+    lambda deltas: format_vector(tuple(sum(deltas[:i]) for i in range(len(deltas) + 1)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_rejects_any_changed_field(base_coll, data):
+    payload = collection_payload(base_coll)
+    rec = data.draw(st.sampled_from(payload["chains"]), label="record")
+    field = data.draw(
+        st.sampled_from(["mu", "partner", "start", "generators", "certificate"]), label="field"
+    )
+    if field in ("mu", "partner"):
+        rec[field] = _changed(data, rec[field], partition_words)
+    elif field == "start":
+        rec[field] = _changed(data, rec[field], st.integers(0, 60))
+    elif field == "generators":
+        j = data.draw(st.integers(0, len(rec["generators"]) - 1), label="generator")
+        rec["generators"][j] = _changed(data, rec["generators"][j], vector_words)
+    else:
+        hex_words = st.text("0123456789abcdef", min_size=16, max_size=16)
+        rec[field] = _changed(data, rec[field], hex_words)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coll.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_collection(path)
 
 
 def test_load_rejects_broken_pairing(tmp_path, base_coll):
@@ -165,7 +218,7 @@ def test_k12_chain_goldens(coll12):
 
 
 def test_k12_amh_golden(coll12):
-    amh = amh_vectors(coll12.chain(parse_partition("531^4")))
+    amh = chain_amh(coll12.chain(parse_partition("531^4")))
     assert amh.a == (7, 9, 11, 13, 15, 17, 19, 21, 23, 35, 48)
     assert amh.h == (11, 10, 10, 10, 10, 10, 10, 10, 10, 11, 12)
     assert amh.m == (0,) * 11
@@ -173,7 +226,8 @@ def test_k12_amh_golden(coll12):
 
 def test_k12_profile_golden(coll12):
     chain = coll12.chain(parse_partition("531^4"))
-    assert format_profile(chain.mind_profile(33)) == "11,12,(10,11)^8,11^9"
+    prof = [len(c) for c in chain.elements_upto(33)]
+    assert format_profile(prof) == "11,12,(10,11)^8,11^9"
 
 
 def test_k12_build_context(coll12):

@@ -76,6 +76,29 @@ def test_tail_plateau(capsys):
     assert out[-1] == "0010100 dinv 16"
 
 
+@pytest.mark.parametrize(
+    "argv,word",
+    [(["tail", "2x1"], "2x1"), (["ti2", "2x1"], "2x1"), (["catalan", "4", "--mu", "1y"], "1y")],
+)
+def test_bad_partition_is_usage_error(capsys, argv, word):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad partition '{word}'" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--plateau", "--count"])
+def test_tail_rejects_negative_counts(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", "21", flag, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 0" in captured.err
+
+
 def test_flagpole_table(capsys):
     assert run(["flagpole", "6", "8", "--brute"]) == 0
     assert lines(capsys) == [
@@ -98,6 +121,11 @@ def test_absorb(capsys):
         "6 36 125 0.2880",
         "7 81 235 0.3447",
     ]
+
+
+def test_absorb_without_first_order_leftover(capsys):
+    assert run(["absorb", "0", "1"]) == 0
+    assert lines(capsys) == ["k leftover2 leftover1 ratio", "0 0 0 -", "1 0 0 -"]
 
 
 def test_catalan_full(capsys):

@@ -6,15 +6,11 @@ from math import comb
 from qtchains.dyck import (
     area,
     class_from_partition,
-    classify_vector,
     defc,
-    defc_pairs,
     dinv,
-    dyck_vectors,
     enumerate_deficit,
     format_vector,
     is_qdv,
-    is_reduced,
     lift,
     mind,
     parse_vector,
@@ -23,7 +19,15 @@ from qtchains.dyck import (
     reduce,
     unlift,
 )
-from oracles import deficit_classes_bruteforce, dinv_extended
+from qtchains.partitions import format_partition, parse_partition
+from oracles import (
+    classify_vector,
+    deficit_classes_bruteforce,
+    defc_pairs,
+    dinv_extended,
+    dyck_vectors,
+    is_reduced,
+)
 
 
 # ------------------------------------------------------------ small strategies
@@ -36,6 +40,23 @@ def qdv_strategy(max_len=9, min_entry=-3):
         return tuple(v)
 
     return st.lists(st.integers(min_entry - 1, 1), max_size=max_len - 1).map(build)
+
+
+def climbing_qdv_strategy(max_rise=14, max_drop=25, max_moves=6):
+    """Vectors built from climbs of up to max_rise steps, each ended by a drop.
+
+    Long climbs reach entries above 9 and long drops go below 0, the two
+    ranges the word notation parenthesizes.
+    """
+    def build(moves):
+        v = [0]
+        for rise, drop in moves:
+            v.extend(range(v[-1] + 1, v[-1] + rise + 1))
+            v.append(v[-1] - drop)
+        return tuple(v)
+
+    move = st.tuples(st.integers(0, max_rise), st.integers(0, max_drop))
+    return st.lists(move, max_size=max_moves).map(build)
 
 
 def partition_strategy(max_part=7, max_len=7):
@@ -71,6 +92,20 @@ def test_parse_format_round_trip():
     stair = tuple(range(11))
     assert format_vector(stair) == "0123456789(10)"
     assert parse_vector("0123456789(10)") == stair
+
+
+@settings(max_examples=300)
+@given(climbing_qdv_strategy())
+def test_vector_word_round_trip(v):
+    assert is_qdv(v)
+    assert parse_vector(format_vector(v)) == v
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.integers(1, 40), st.integers(1, 40), max_size=6))
+def test_partition_word_round_trip(mults):
+    p = tuple(a for a in sorted(mults, reverse=True) for _ in range(mults[a]))
+    assert parse_partition(format_partition(p)) == p
 
 
 def test_reduce_goldens():

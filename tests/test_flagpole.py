@@ -7,21 +7,19 @@ from qtchains.flagpole import (
     a_floor,
     count_flagpole,
     count_flagpole_bruteforce,
-    ftype,
     gflag_lower_bound,
     is_flagpole,
     is_generalized_flagpole,
     phi,
     phi_inv,
-    phi_inv_iterated,
     psi,
     psi_inv,
-    template_length,
     template_match,
     v_template,
 )
 from qtchains.partitions import parse_partition, partitions_of
-from qtchains.tails import ti2
+
+from oracles import phi_inv_iterated
 
 
 def template_grid(max_lam=4, spread=2):
@@ -57,8 +55,8 @@ def test_template_statistics():
         v = v_template(lam, a, eps)
         n = sum(lam)
         first = lam[0] if lam else 0
-        length = template_length(lam, a)
-        assert len(v) == length == a + 3 + first + len(lam)
+        length = len(v)
+        assert length == a + 3 + first + len(lam)
         assert defc(v) == length + n - 2
         assert area(v) == 2 * length - first - 5 - eps
         assert dinv(v) == comb(length, 2) - 3 * length - n + first + 7 + eps
@@ -99,8 +97,8 @@ def test_flagpole_counts():
 
 
 def test_ftype_values():
-    assert ftype((3, 2, 2, 1, 1, 1)) == (1, 1, 1)
-    assert ftype((6, 1)) is None
+    assert phi((3, 2, 2, 1, 1, 1))[0] == (1, 1, 1)
+    assert phi((6, 1)) is None
 
 
 # ------------------------------------------------------------------ encodings

@@ -4,32 +4,25 @@ from qtchains.dyck import (
     class_from_partition,
     defc,
     dinv,
-    dyck_vectors,
     enumerate_deficit,
-    is_reduced,
     parse_vector,
     partition_from_class,
     reduce,
 )
 from qtchains.steps import (
-    StepKind,
-    is_nu1_final,
     is_nu1_initial,
     nd,
     nd1,
-    nd1_qdv,
     nd2,
     nu,
     nu1,
     nu1_partition,
-    nu1_qdv,
-    nu1_segment,
     nu2,
-    nu_segment,
-    nu_step_kind,
     rep_ending_minus_one,
     rep_starting_00,
 )
+
+from oracles import dyck_vectors, is_reduced, nd1_qdv, nu1_qdv
 
 
 def small_classes(k_max=5, d_max=22):
@@ -55,14 +48,15 @@ def test_initial_final_markers():
     assert is_nu1_initial(reduce((0,)))
     assert is_nu1_initial(class_from_partition((1, 1, 1)))
     assert not is_nu1_initial(class_from_partition((3, 1)))
-    assert is_nu1_final(class_from_partition((6, 1, 1)))
-    assert not is_nu1_final(class_from_partition((5, 1, 1)))
+    assert nu1(class_from_partition((6, 1, 1))) is None
+    assert nu1(class_from_partition((5, 1, 1))) is not None
 
 
 def test_first_order_inverse_laws():
     for c in small_classes():
         up = nu1(c)
-        assert (up is None) == is_nu1_final(c)
+        p = partition_from_class(c)
+        assert (up is None) == (bool(p) and p[0] > len(p) + 2)
         if up is not None:
             assert nd1(up) == c
             assert dinv(up) == dinv(c) + 1
@@ -84,7 +78,9 @@ def test_binary_append_law():
         for v in dyck_vectors(n):
             if max(v) > 1 or not is_reduced(v):
                 continue
-            walk = nu1_segment(v, n)
+            walk = [v]
+            while len(walk) <= n and nu1(walk[-1]) is not None:
+                walk.append(nu1(walk[-1]))
             assert len(walk) == n + 1
             assert walk[-1] == v + (0,)
 
@@ -139,13 +135,11 @@ def test_combined_map_round_trip():
 
 
 def test_step_kind_dispatch():
-    assert nu_step_kind((0,)) == StepKind.NU1
+    assert nu1((0,)) is not None
     for c in small_classes():
-        kind = nu_step_kind(c)
-        if kind == StepKind.NU1:
+        if nu1(c) is not None:
             assert nu(c) == nu1(c)
-        elif kind == StepKind.NU2:
-            assert nu1(c) is None
+        elif nu2(c) is not None:
             assert nu(c) == nu2(c)
         else:
             assert nu(c) is None
@@ -162,10 +156,11 @@ def test_descent_walk_golden():
 
 
 def test_nu_segment_lengths():
-    seg = nu_segment(parse_vector("001222"), 4)
+    seg = [parse_vector("001222")]
+    for _ in range(4):
+        seg.append(nu(seg[-1]))
     assert [dinv(v) for v in seg] == [4, 5, 6, 7, 8]
     assert seg[-1] == parse_vector("001101")
-    assert nu_segment((0, 1, 0), 0) == [(0, 1, 0)]
 
 
 @pytest.mark.parametrize(

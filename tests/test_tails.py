@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from qtchains.dyck import (
-    area_delta,
     defc,
     dinv,
     enumerate_deficit,
@@ -22,21 +21,19 @@ from qtchains.tails import (
     coverage_bound,
     format_profile,
     locate_in_tail,
-    locate_in_tail2,
     partition_from_b_word,
     plateau,
     s_vectors,
     staircase_profile,
     tail2_iter,
     tail_elements,
-    tail_iter,
     ti,
     ti2,
     ti_dinv,
     ti_mind,
 )
 
-from oracles import stage_vectors_bruteforce
+from oracles import locate_in_tail2, stage_vectors_bruteforce, summary_profile, tail_iter
 
 TI_TABLE = [
     ("0", "0"),
@@ -95,7 +92,7 @@ def test_base_statistics():
         for mu in partitions_of(n):
             v = ti(mu)
             assert defc(v) == n
-            assert area_delta(v) == len(mu)
+            assert sum(reduce(v)) == len(mu)
             assert len(v) == ti_mind(mu) == (mu[0] if mu else 0) + len(mu) + 1
             assert mind(partition_from_class(v)) == ti_mind(mu)
             assert dinv(v) == ti_dinv(mu) == comb(ti_mind(mu), 2) - len(mu) - n
@@ -260,7 +257,7 @@ def test_stage_vectors_long_golden():
         parse_vector("0012211111111101100001"),
         parse_vector("0011111111110110000111"),
     )
-    assert format_profile(summary.profile(40)) == "(18,19)^3,19^17,20,19,20^15"
+    assert format_profile(summary_profile(summary, 40)) == "(18,19)^3,19^17,20,19,20^15"
 
 
 @pytest.mark.parametrize(
@@ -277,7 +274,7 @@ def test_profile_matches_orbit_lengths():
     v = parse_vector("001222")
     summary = s_vectors(v)
     lens = [len(w) for w in islice(tail2_iter((2, 1, 1)), 30)]
-    assert summary.profile(30) == lens
+    assert summary_profile(summary, 30) == lens
 
 
 def test_format_profile():

@@ -12,7 +12,6 @@ from qtchains.verify import (
     AmhVectors,
     Chain,
     CheckResult,
-    all_ok,
     amh_vectors,
     cat_n_mu,
     check_amh,
@@ -20,6 +19,8 @@ from qtchains.verify import (
     opposite_bruteforce,
     report_lines,
 )
+
+from oracles import chain_amh
 
 
 GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
@@ -83,19 +84,21 @@ def test_manual_chain_elements():
 def test_manual_chain_profile():
     c = chain15()
     assert c.element(20) == chain15().element(20)
-    assert c.mind_profile(4) == []
-    assert c.mind_profile(26) == [7, 8, 7, 8, 7, 8, 7] + [8] * 7 + [9] * 8
-    assert c.mind_profile(8) == chain15().mind_profile(8) == [7, 8, 7, 8]
+    assert c.elements_upto(4) == []
+    assert [len(x) for x in c.elements_upto(26)] == [7, 8, 7, 8, 7, 8, 7] + [8] * 7 + [9] * 8
+    assert c.elements_upto(8) == chain15().elements_upto(8)
+    assert [len(x) for x in c.elements_upto(8)] == [7, 8, 7, 8]
     assert c.amh_horizon() == 19
 
 
 def test_manual_chain_amh():
-    amh = amh_vectors(chain15())
+    amh = chain_amh(chain15())
     assert amh.a == (5, 7, 9, 11)
     assert amh.m == (0, 0, 0, 0)
     assert amh.h == (7, 7, 7, 7)
     assert amh.size == 4
-    assert all_ok(check_amh(amh, amh, 5))
+    assert all(r.ok for r in check_amh(amh, amh, 5))
+    assert amh_vectors(5, [7, 8, 7, 8, 7, 8, 7] + [8] * 7 + [9] * 8) == amh
 
 
 def test_manual_chain_checks():
@@ -103,7 +106,7 @@ def test_manual_chain_checks():
     rows = check_pair(c, c, 5)
     assert {ctx for ctx, _ in rows} == {"1^5"}
     results = [r for _, r in rows]
-    assert all_ok(results)
+    assert all(r.ok for r in results)
     assert [r.clause for r in results] == [
         "basic-a", "basic-b", "basic-c", "basic-d", "basic-e",
         "local-a", "local-b",
@@ -159,15 +162,15 @@ PROFILE_B = (2, [9, 10, 7, 7, 8, 7, 7, 7, 8, 7] + [8] * 7 + [9] * 8)
 
 
 def test_amh_pair_identity():
-    assert all_ok(check_amh(AMH_A, AMH_B, 7))
-    assert all_ok(check_amh(AMH_B, AMH_A, 7))
+    assert all(r.ok for r in check_amh(AMH_A, AMH_B, 7))
+    assert all(r.ok for r in check_amh(AMH_B, AMH_A, 7))
 
 
 def test_amh_pair_identity_detects_damage():
     dented = AmhVectors(a=(3, 5, 9, 28), m=AMH_A.m, h=AMH_A.h)
-    assert not all_ok(check_amh(dented, AMH_B, 7))
+    assert not all(r.ok for r in check_amh(dented, AMH_B, 7))
     short = AmhVectors(a=(3, 5), m=(0, 2), h=(7, 7))
-    assert not all_ok(check_amh(short, AMH_B, 7))
+    assert not all(r.ok for r in check_amh(short, AMH_B, 7))
 
 
 def test_profile_pair_term_sets():
@@ -200,4 +203,4 @@ def test_base_pairs_opposite(base_coll):
         results = opposite_bruteforce(
             base_coll.chain(mu), base_coll.chain(mu_star), 8
         )
-        assert all_ok(results), (mu, mu_star)
+        assert all(r.ok for r in results), (mu, mu_star)
