@@ -30,7 +30,7 @@ from .dyck import (
 )
 from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv, template_match
 from .partitions import Partition, format_partition, parse_partition, partitions_of
-from .steps import is_nu1_initial, nu1
+from .steps import is_nu1_initial, nu1_partition
 from .tails import (
     TailTwoSummary,
     coverage_bound,
@@ -130,11 +130,10 @@ def search_chains(
         if c in bases or not is_nu1_initial(c):
             continue
         seg = [c]
-        while True:
-            nxt = nu1(seg[-1])
-            if nxt is None:
-                break
-            seg.append(nxt)
+        p = nu1_partition(partition_from_class(c))
+        while p is not None:
+            seg.append(class_from_partition(p))
+            p = nu1_partition(p)
             if len(seg) > 2 * horizon + 4:
                 raise RuntimeError(f"segment from {c} does not stop")
         segments.append((dinv(c), tuple(seg)))

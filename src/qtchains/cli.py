@@ -106,6 +106,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     coll = builder.seed_base_collection(force_search=args.force_search)
     if args.k > coll.k_max:
         coll = builder.extend_all(coll, args.k, mode=args.mode)
+    else:
+        # the pairing preserves size, so the trimmed pairing is an involution
+        keep = {mu: c for mu, c in coll.chains.items() if sum(mu) <= args.k}
+        coll = builder.ChainCollection(keep, {mu: coll.pairing[mu] for mu in keep}, args.k)
     builder.save_collection(coll, args.out)
     print(f"built {len(coll.chains)} chains to deficit {coll.k_max} -> {args.out}")
     return 0
@@ -197,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ti2)
 
     p = sub.add_parser("flagpole", help="counts of pole partitions by size")
-    p.add_argument("start", type=int)
-    p.add_argument("stop", type=int, nargs="?", default=None)
+    p.add_argument("start", type=_count_arg)
+    p.add_argument("stop", type=_count_arg, nargs="?", default=None)
     p.add_argument("--brute", action="store_true", help="add the direct count column")
     p.set_defaults(func=_cmd_flagpole)
 
     p = sub.add_parser("build", help="build the chain collection up to a deficit")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_count_arg)
     p.add_argument("--out", default="chains.json")
     p.add_argument("--mode", choices=("flagpole", "generalized"), default="flagpole")
     p.add_argument("--force-search", action="store_true", help="ignore the frozen seed file")
@@ -211,18 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate a stored collection")
     p.add_argument("path")
-    p.add_argument("--opposite", type=int, default=0, metavar="N", help="also compare path sums up to N")
+    p.add_argument("--opposite", type=_count_arg, default=0, metavar="N", help="also compare path sums up to N")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalan", help="the full path sum polynomial, or one chain's share")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_count_arg)
     p.add_argument("--mu", type=_partition_arg, default=None)
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("absorb", help="orbit absorption counts below the coverage bound")
-    p.add_argument("start", type=int)
-    p.add_argument("stop", type=int, nargs="?", default=None)
+    p.add_argument("start", type=_count_arg)
+    p.add_argument("stop", type=_count_arg, nargs="?", default=None)
     p.set_defaults(func=_cmd_absorb)
 
     p = sub.add_parser("export", help="readable dump of a stored collection")

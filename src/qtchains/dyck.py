@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add, sub
 
 from .partitions import Partition
 
@@ -95,10 +96,10 @@ def dinv(v: Vector) -> int:
     if min(v) < 0:
         v = reduce(v)
     total = 0
-    seen: dict[int, int] = {}
+    seen = [0] * (max(v) + 2)  # seen[x]: earlier entries equal to x
     for x in v:
-        total += seen.get(x, 0) + seen.get(x + 1, 0)
-        seen[x] = seen.get(x, 0) + 1
+        total += seen[x] + seen[x + 1]
+        seen[x] += 1
     return total
 
 
@@ -114,15 +115,16 @@ def mind(p: Partition) -> int:
     """Shortest length of a nonnegative vector in the class of p."""
     if not p:
         return 1
-    return max(len(p) + 1, max(a + i for i, a in enumerate(p, start=1)))
+    return max(len(p) + 1, max(map(add, p, range(1, len(p) + 1))))
 
 
 def qdv_from_partition(p: Partition, n: int) -> Vector:
     """Length-n vector of the class of p; needs n above the number of parts."""
     if n < len(p) + 1:
         raise ValueError(f"need n > {len(p)} for {p}")
-    ell = len(p)
-    return tuple(j - (p[n - j - 1] if n - j - 1 < ell else 0) for j in range(n))
+    # entry j is j, less the part p[n - j - 1] for the last len(p) entries
+    free = n - len(p)
+    return tuple(range(free)) + tuple(map(sub, range(free, n), reversed(p)))
 
 
 def partition_from_class(v: Vector) -> Partition:

@@ -25,14 +25,14 @@ def nu1_partition(p: Partition) -> Partition | None:
     ell = len(p)
     if p and p[0] > ell + 2:
         return None
-    return (ell + 1,) + tuple(a - 1 for a in p if a > 1)
+    return (ell + 1,) + tuple([a - 1 for a in p if a > 1])
 
 
 def nd1_partition(p: Partition) -> Partition | None:
     """Drop the first part, raise the rest, and pad with ones, when allowed."""
     if not p or p[0] < len(p):
         return None
-    return tuple(a + 1 for a in p[1:]) + (1,) * (p[0] - len(p))
+    return tuple([a + 1 for a in p[1:]]) + (1,) * (p[0] - len(p))
 
 
 def is_nu1_initial(c: Vector) -> bool:

@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .dyck import Vector, dinv, reduce
+from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
 from .partitions import Partition, count_partitions_max, multiplicities, partitions_of
-from .steps import nd, nu
+from .steps import nd1_partition, nd2, nu1_partition, nu2
 
 
 def b_word(mu: Partition) -> Vector:
@@ -202,24 +202,37 @@ def absorption_counts(k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def ti2(mu: Partition) -> Vector:
-    """Base class of the extended orbit: iterate the predecessor map to a fixpoint."""
-    c = ti(mu)
+    """Base class of the extended orbit: iterate the predecessor map to a fixpoint.
+
+    First-order steps run on partitions; the class is built only where the
+    second-order step has to be tried.
+    """
+    p = partition_from_class(ti(mu))
     while True:
-        prev = nd(c)
-        if prev is None:
-            return c
-        c = prev
+        q = nd1_partition(p)
+        if q is None:
+            c = class_from_partition(p)
+            prev = nd2(c)
+            if prev is None:
+                return c
+            q = partition_from_class(prev)
+        p = q
 
 
 def tail2_iter(mu: Partition) -> Iterator[Vector]:
     """The combined-map orbit from the second base class of mu."""
     c = ti2(mu)
+    p = partition_from_class(c)
     while True:
         yield c
-        nxt = nu(c)
-        if nxt is None:
-            raise RuntimeError(f"extended orbit of {mu} stopped at {c}")
-        c = nxt
+        q = nu1_partition(p)
+        if q is None:
+            nxt = nu2(c)
+            if nxt is None:
+                raise RuntimeError(f"extended orbit of {mu} stopped at {c}")
+            c, p = nxt, partition_from_class(nxt)
+        else:
+            c, p = class_from_partition(q), q
 
 
 # ------------------------------------- closed forms for the extended orbit

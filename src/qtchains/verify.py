@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .dyck import Vector, defc, dinv, reduce
+from .dyck import Vector, class_from_partition, defc, dinv, partition_from_class, reduce
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial
-from .steps import nu1
+from .steps import nu1_partition
 from .tails import staircase_profile, tail2_iter, ti, ti2, ti_dinv, ti_mind
 
 
@@ -33,6 +33,7 @@ class Chain:
         self.generators = [tuple(g) for g in generators]
         self._elements: list[Vector] = []
         self._segment = -1  # index of the generator whose segment holds the last element
+        self._part: Partition = ()  # partition of the last element's class
 
     def __repr__(self) -> str:
         return f"Chain({format_partition(self.mu)}, start={self.start_dinv})"
@@ -40,27 +41,33 @@ class Chain:
     def _grow(self, need: int) -> None:
         """Walk the segments until at least need elements are held.
 
-        Only the final segment may reach the base dinv of mu, where a valid
-        chain holds its final generator; a non-final segment still running
-        there, or a final segment that stops, raises RuntimeError.
+        Each first-order step is surgery on the partition of the last
+        element.  Only the final segment may reach the base dinv of mu,
+        where a valid chain holds its final generator; a non-final segment
+        still running there, or a final segment that stops, raises
+        RuntimeError.
         """
         els = self._elements
         last = len(self.generators) - 1
         base_slot = ti_dinv(self.mu) - self.start_dinv
         while len(els) < need:
-            c = nu1(els[-1]) if els else None
+            p = nu1_partition(self._part) if els else None
             seg = self._segment
-            if c is None:
+            if p is None:
                 if seg == last:
                     raise RuntimeError(f"final segment of {self} stopped")
                 seg += 1
                 c = self.generators[seg]
+                p = partition_from_class(c)
+            else:
+                c = class_from_partition(p)
             if seg < last and len(els) >= base_slot:
                 raise RuntimeError(
                     f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
                 )
             els.append(c)
             self._segment = seg
+            self._part = p
 
     def elements_upto(self, d: int) -> list[Vector]:
         """Chain elements from start_dinv through dinv d, in order."""

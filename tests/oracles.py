@@ -179,6 +179,39 @@ def tail_iter(mu: Partition) -> Iterator[Vector]:
         c = nxt
 
 
+def ti2_by_nd(mu: Partition) -> Vector:
+    """Extended orbit base by iterating the combined predecessor on classes."""
+    c = ti(mu)
+    while True:
+        prev = nd(c)
+        if prev is None:
+            return c
+        c = prev
+
+
+def tail2_by_nu(mu: Partition, count: int) -> list[Vector]:
+    """First count classes of the extended orbit by iterating nu on classes."""
+    out = [ti2_by_nd(mu)]
+    while len(out) < count:
+        nxt = nu(out[-1])
+        if nxt is None:
+            raise RuntimeError(f"extended orbit of {mu} stopped at {out[-1]}")
+        out.append(nxt)
+    return out
+
+
+def chain_walk_by_nu1(chain: Chain, d: int) -> list[Vector]:
+    """Chain elements through dinv d, walking nu1 on classes segment by segment."""
+    need = d - chain.start_dinv + 1
+    out: list[Vector] = []
+    for g in chain.generators:
+        c: Vector | None = g
+        while c is not None and len(out) < need:
+            out.append(c)
+            c = nu1(c)
+    return out
+
+
 def has_cycled_ternary_rep(c: Vector) -> bool:
     """True when some representative has entries in -1..2 with no -1 before a 2."""
     v: Vector | None = reduce(c)

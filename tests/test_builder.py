@@ -24,10 +24,10 @@ from qtchains.builder import (
 from qtchains.dyck import dinv, format_vector, parse_vector
 from qtchains.flagpole import is_flagpole
 from qtchains.partitions import format_partition, parse_partition, partitions_of
-from qtchains.tails import format_profile
+from qtchains.tails import coverage_bound, format_profile
 from qtchains.verify import Chain, CheckResult
 
-from oracles import antipode_inverse, chain_amh
+from oracles import antipode_inverse, chain_amh, chain_walk_by_nu1
 
 BASE_PRINTED = [
     ("0", "0", 0, "0"),
@@ -201,6 +201,26 @@ def test_seed_prefers_frozen_file(base_coll):
 def test_extension_reaches_deficit_twelve(coll12):
     assert coll12.k_max == 12
     assert len(coll12.chains) == 95
+
+
+def test_k12_chains_match_class_walk(coll12):
+    for mu, chain in coll12.chains.items():
+        d = coverage_bound(sum(mu)) + 10
+        assert chain.elements_upto(d) == chain_walk_by_nu1(chain, d), mu
+
+
+@pytest.mark.parametrize("mode", ["flagpole", "generalized"])
+def test_k12_save_load_round_trip(tmp_path, base_coll, coll12, mode):
+    coll = coll12 if mode == "flagpole" else extend_all(base_coll, 12, mode="generalized")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_collection(coll, first)
+    loaded = load_collection(first)
+    save_collection(loaded, second)
+    assert json.loads(second.read_text()) == json.loads(first.read_text())
+    assert collection_payload(loaded) == collection_payload(coll)
+    for mu in coll.members():
+        d = coverage_bound(sum(mu))
+        assert loaded.chains[mu].elements_upto(d) == coll.chains[mu].elements_upto(d), mu
 
 
 def test_k12_chain_goldens(coll12):

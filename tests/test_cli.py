@@ -1,3 +1,4 @@
+import json
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from qtchains import cli
 from qtchains.cli import run
+from qtchains.partitions import parse_partition
 
 
 def lines(capsys):
@@ -99,6 +101,30 @@ def test_tail_rejects_negative_counts(capsys, flag):
     assert f"argument {flag}: must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,arg",
+    [
+        (["catalan", "-3"], "n"),
+        (["flagpole", "-2", "1"], "start"),
+        (["flagpole", "1", "-1"], "stop"),
+        (["absorb", "-2", "0"], "start"),
+        (["absorb", "0", "-1"], "stop"),
+        (["build", "-3"], "k"),
+        (["verify", "chains.json", "--opposite", "-2"], "--opposite"),
+    ],
+    ids=["catalan", "flagpole-start", "flagpole-stop", "absorb-start", "absorb-stop", "build", "verify"],
+)
+def test_negative_integer_is_usage_error(tmp_path, monkeypatch, capsys, argv, arg):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {arg}: must be at least 0" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flagpole_table(capsys):
     assert run(["flagpole", "6", "8", "--brute"]) == 0
     assert lines(capsys) == [
@@ -161,6 +187,18 @@ def test_build_verify_export_round_trip(tmp_path, capsys):
     assert len(rows) == 27
     assert rows[0] == "0 partner 0 start 0 generators 0"
     assert all(" partner " in row and " generators " in row for row in rows)
+
+
+def test_build_below_the_base_trims_the_collection(tmp_path, capsys):
+    out = tmp_path / "c3.json"
+    assert run(["build", "3", "--out", str(out)]) == 0
+    assert lines(capsys) == [f"built 7 chains to deficit 3 -> {out}"]
+    payload = json.loads(out.read_text())
+    assert payload["k_max"] == 3
+    assert max(sum(parse_partition(r["mu"])) for r in payload["chains"]) == 3
+
+    assert run(["verify", str(out)]) == 0
+    assert lines(capsys)[-1] == "99/99 checks passed"
 
 
 def test_verify_verbose_lists_rows(tmp_path, capsys):

@@ -33,7 +33,14 @@ from qtchains.tails import (
     ti_mind,
 )
 
-from oracles import locate_in_tail2, stage_vectors_bruteforce, summary_profile, tail_iter
+from oracles import (
+    locate_in_tail2,
+    stage_vectors_bruteforce,
+    summary_profile,
+    tail2_by_nu,
+    tail_iter,
+    ti2_by_nd,
+)
 
 TI_TABLE = [
     ("0", "0"),
@@ -180,6 +187,18 @@ def test_coverage_bound_values():
 @pytest.mark.parametrize("word,vec", TI2_TABLE)
 def test_extended_base_table(word, vec):
     assert ti2(parse_partition(word)) == parse_vector(vec)
+
+
+def test_extended_base_matches_class_walk():
+    for n in range(13):
+        for mu in partitions_of(n):
+            assert ti2(mu) == ti2_by_nd(mu), mu
+
+
+def test_extended_orbit_matches_class_walk():
+    for n in range(13):
+        for mu in partitions_of(n):
+            assert list(islice(tail2_iter(mu), 60)) == tail2_by_nu(mu, 60), mu
 
 
 def test_extended_orbit_walk():
