@@ -44,6 +44,9 @@ from .tails import (
 from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 
+BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
+
+
 @dataclass
 class ChainCollection:
     """Chains keyed by deficit partition, with the size-preserving pairing."""
@@ -252,7 +255,7 @@ def _chains_pass(chains: dict[Partition, Chain], pairing: dict[Partition, Partit
 
 
 def search_base_collection() -> ChainCollection:
-    """Search deficits 0 through 5 from the printed seeds and pins."""
+    """Search deficits 0 through BASE_K_MAX from the printed seeds and pins."""
     chains: dict[Partition, Chain] = {}
     pairing: dict[Partition, Partition] = {}
     printed = {
@@ -260,13 +263,13 @@ def search_base_collection() -> ChainCollection:
         for w, toks in _PRINTED.items()
     }
     pinned = [(parse_partition(p), parse_partition(q)) for p, q in _PINNED_PAIRS]
-    for k in range(6):
+    for k in range(BASE_K_MAX + 1):
         seeds = {mu: g for mu, g in printed.items() if sum(mu) == k}
         pins = {p: q for p, q in pinned if sum(p) == k}
         got, pair_k = search_chains(k, seeds, pins)
         chains.update(got)
         pairing.update(pair_k)
-    return ChainCollection(chains, pairing, 5)
+    return ChainCollection(chains, pairing, BASE_K_MAX)
 
 
 # ------------------------------------------------------------- serialization
@@ -516,9 +519,18 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
     Mode "flagpole" uses the closed eligibility test; "generalized" the
     length test against the current pairing.  Every assembled pair is
     checked before it is kept; a failing pair raises.
+
+    The construction starts at deficit BASE_K_MAX + 1 and needs the whole
+    base collection below it, so extending a collection whose k_max is
+    under BASE_K_MAX raises ValueError.
     """
     if mode not in ("flagpole", "generalized"):
         raise ValueError(f"unknown mode {mode!r}")
+    if k_max > coll.k_max and coll.k_max < BASE_K_MAX:
+        raise ValueError(
+            f"extend_all needs a collection through deficit {BASE_K_MAX}, "
+            f"this one stops at {coll.k_max}"
+        )
     chains = dict(coll.chains)
     pairing = dict(coll.pairing)
     for k in range(coll.k_max + 1, k_max + 1):

@@ -23,6 +23,9 @@ from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
 from .verify import cat_n_mu, report_lines
 
 
+CATALAN_MAX = 24  # `catalan N` for the full polynomial: about 3 s at N = 24
+
+
 def _partition_arg(word: str) -> Partition:
     """Argument type for a partition word; a bad word is a usage error naming it."""
     try:
@@ -220,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalan", help="the full path sum polynomial, or one chain's share")
-    p.add_argument("n", type=_count_arg)
+    p.add_argument(
+        "n", type=_count_arg, help=f"path length, at most {CATALAN_MAX} without --mu"
+    )
     p.add_argument("--mu", type=_partition_arg, default=None)
     p.set_defaults(func=_cmd_catalan)
 
@@ -236,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "stop", None) is not None and args.stop < args.start:
+        ap.error(f"{args.command}: STOP {args.stop} is below START {args.start}")
+    if args.command == "catalan" and args.mu is None and args.n > CATALAN_MAX:
+        ap.error(f"catalan: N {args.n} is above the limit {CATALAN_MAX} for the full polynomial")
     return args.func(args)
 
 

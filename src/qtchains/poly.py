@@ -49,26 +49,66 @@ class QtPolynomial:
     __repr__ = __str__
 
 
+def _gaussian_rows(top: int) -> list[list[list[int]]]:
+    """q-coefficient lists of the Gaussian binomials [a choose b]_q for a <= top.
+
+    Pascal's rule: [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
+    """
+    rows = [[[1]]]
+    for a in range(1, top + 1):
+        prev = rows[-1]
+        row = [[1]]
+        for b in range(1, a):
+            lo, hi = prev[b - 1], prev[b]
+            coeffs = lo + [0] * (b + len(hi) - len(lo))
+            for i, c in enumerate(hi, b):
+                coeffs[i] += c
+            row.append(coeffs)
+        row.append([1])
+        rows.append(row)
+    return rows
+
+
 def cat_n(n: int) -> QtPolynomial:
-    """Sum of q^area t^dinv over the nonnegative length-n vectors."""
-    terms: dict[tuple[int, int], int] = {}
+    """Sum of q^area t^dinv over the nonnegative length-n vectors.
+
+    Computed by the Garsia-Haglund recursion (Garsia & Haglund, PNAS 98,
+    2002; Haglund, AMS ULECT 41, 2008): F_{m,m} = q^C(m,2) and, for k < m,
+
+        F_{m,k} = t^(m-k) q^C(k,2) sum_{r=1}^{m-k} [r+k-1 choose r]_q F_{m-k,r},
+
+    with cat_n the sum of F_{n,k} over k.  The recursion weights a path by
+    q^dinv t^area; the q,t-symmetry of the sum makes that the same
+    polynomial.  Each F_{m,k} is held as a dict from t exponent to a list
+    of q coefficients.
+    """
     if n < 1:
-        return QtPolynomial(terms)
-    cnt = [0] * (n + 2)
-
-    def go(last: int, length: int, ar: int, dv: int) -> None:
-        if length == n:
-            key = (ar, dv)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        for x in range(last + 2):
-            cnt[x] += 1
-            go(x, length + 1, ar + x, dv + cnt[x] - 1 + cnt[x + 1])
-            cnt[x] -= 1
-
-    cnt[0] = 1
-    go(0, 1, 0, 0)
-    cnt[0] = 0
+        return QtPolynomial()
+    gauss = _gaussian_rows(n - 1)
+    f: list[dict[int, dict[int, list[int]]]] = [{}]
+    for m in range(1, n + 1):
+        row = {m: {0: [0] * comb(m, 2) + [1]}}
+        for k in range(1, m):
+            j = m - k
+            shift = comb(k, 2)
+            acc: dict[int, list[int]] = {}
+            for r in range(1, j + 1):
+                g = gauss[r + k - 1][r]
+                for te, qs in f[j][r].items():
+                    out = acc.setdefault(te + j, [])
+                    need = shift + len(qs) + len(g) - 1
+                    out.extend([0] * (need - len(out)))
+                    for a, x in enumerate(qs, shift):
+                        if x:
+                            for b, y in enumerate(g, a):
+                                out[b] += x * y
+            row[k] = acc
+        f.append(row)
+    terms: dict[tuple[int, int], int] = {}
+    for part in f[n].values():
+        for te, qs in part.items():
+            for qe, c in enumerate(qs):
+                terms[(qe, te)] = terms.get((qe, te), 0) + c
     return QtPolynomial(terms)
 
 

@@ -10,9 +10,10 @@ of chains a certificate for the joint symmetry of the path sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 
-from .dyck import Vector, class_from_partition, defc, dinv, partition_from_class, reduce
+from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial
 from .steps import nu1_partition
@@ -48,6 +49,8 @@ class Chain:
         RuntimeError.
         """
         els = self._elements
+        if len(els) >= need:
+            return
         last = len(self.generators) - 1
         base_slot = ti_dinv(self.mu) - self.start_dinv
         while len(els) < need:
@@ -190,7 +193,9 @@ def check_basic(chain: Chain, partner: Chain, els: list[Vector]) -> list[CheckRe
     bad = [
         (i, c)
         for i, c in enumerate(els)
-        if defc(c) != k or dinv(c) != chain.start_dinv + i or reduce(c) != c
+        if (dv := dinv(c)) != chain.start_dinv + i
+        or comb(len(c), 2) - sum(c) - dv != k
+        or reduce(c) != c
     ]
     return [
         _res(
@@ -327,31 +332,45 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
 
 # ---------------------------------------------------------------- path sums
 
+def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
+    """(dinv, reduced length) of each chain element, in order.
+
+    Stops before the first element at or past the base dinv that is longer
+    than n_max: the final orbit's reduced lengths never come back down.
+    """
+    base_dinv = ti_dinv(chain.mu)
+    out = []
+    for d in count(chain.start_dinv):
+        ln = len(chain.element(d))
+        if ln > n_max and d >= base_dinv:
+            return out
+        out.append((d, ln))
+
+
+def _path_sum(n: int, chain: Chain, lengths: list[tuple[int, int]]) -> QtPolynomial:
+    """cat_n_mu(n, chain) from the lengths of a walk to some n_max >= n."""
+    top = comb(n, 2) - sum(chain.mu)
+    return QtPolynomial({(top - d, d): 1 for d, ln in lengths if ln <= n})
+
+
 def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
     """Sum of q^(C(n,2)-k-d) t^d over chain elements of reduced length at most n.
 
     Stops once the final orbit's reduced lengths pass n; they never return.
     """
-    k = sum(chain.mu)
-    base_dinv = ti_dinv(chain.mu)
-    terms: dict[tuple[int, int], int] = {}
-    d = chain.start_dinv
-    while True:
-        c = chain.element(d)
-        if len(c) <= n:
-            terms[(comb(n, 2) - k - d, d)] = 1
-        elif d >= base_dinv:
-            break
-        d += 1
-    return QtPolynomial(terms)
+    return _path_sum(n, chain, _lengths(chain, n))
 
 
 def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult]:
-    """Path sums of the pair are mirror images in q and t, for each n up to n_max."""
+    """Path sums of the pair are mirror images in q and t, for each n up to n_max.
+
+    Each chain is walked once, to n_max; every n reads that one walk.
+    """
+    ours, theirs = _lengths(chain, n_max), _lengths(partner, n_max)
     out: list[CheckResult] = []
     for n in range(1, n_max + 1):
-        lhs = cat_n_mu(n, chain)
-        rhs = cat_n_mu(n, partner).swap()
+        lhs = _path_sum(n, chain, ours)
+        rhs = _path_sum(n, partner, theirs).swap()
         ok = lhs == rhs
         witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
         out.append(CheckResult(f"opposite-n{n}", ok, witness))

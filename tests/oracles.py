@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 from qtchains.builder import ChainCollection, _double_lift
@@ -21,10 +22,11 @@ from qtchains.dyck import (
     unlift,
 )
 from qtchains.flagpole import v_template
-from qtchains.partitions import Partition, partitions_of
+from qtchains.partitions import Partition, format_partition, partitions_of
+from qtchains.poly import QtPolynomial
 from qtchains.steps import nd, nu, nu1
-from qtchains.tails import TailTwoSummary, locate_in_tail, staircase_profile, ti
-from qtchains.verify import AmhVectors, Chain, amh_vectors
+from qtchains.tails import TailTwoSummary, locate_in_tail, staircase_profile, ti, ti_dinv
+from qtchains.verify import AmhVectors, Chain, CheckResult, amh_vectors
 
 
 def dinv_extended(v: Vector) -> int:
@@ -318,3 +320,33 @@ def antipode_inverse(coll: ChainCollection, v: Vector) -> Vector | None:
     if mind(p) > len(v) - 2:
         return None
     return _double_lift(qdv_from_partition(p, len(v) - 2))
+
+
+# ------------------------------------------------------------ path sums
+
+def cat_n_mu_by_lookup(n: int, chain: Chain) -> QtPolynomial:
+    """cat_n_mu for one n, looking the chain's elements up one dinv at a time."""
+    k = sum(chain.mu)
+    base_dinv = ti_dinv(chain.mu)
+    terms: dict[tuple[int, int], int] = {}
+    d = chain.start_dinv
+    while True:
+        c = chain.element(d)
+        if len(c) <= n:
+            terms[(comb(n, 2) - k - d, d)] = 1
+        elif d >= base_dinv:
+            break
+        d += 1
+    return QtPolynomial(terms)
+
+
+def opposite_per_n(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult]:
+    """opposite_bruteforce with a fresh lookup of both chains' path sums for every n."""
+    out: list[CheckResult] = []
+    for n in range(1, n_max + 1):
+        lhs = cat_n_mu_by_lookup(n, chain)
+        rhs = cat_n_mu_by_lookup(n, partner).swap()
+        ok = lhs == rhs
+        witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
+        out.append(CheckResult(f"opposite-n{n}", ok, witness))
+    return out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtchains.builder import (
+    BASE_K_MAX,
     ChainCollection,
     antipode,
     bridge_vector,
@@ -306,3 +307,12 @@ def test_generalized_mode_extends_flagpole(base_coll):
 def test_extend_rejects_unknown_mode(base_coll):
     with pytest.raises(ValueError):
         extend_all(base_coll, 6, mode="fast")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_extend_rejects_a_collection_below_the_base(base_coll, k):
+    keep = {mu: c for mu, c in base_coll.chains.items() if sum(mu) <= k}
+    short = ChainCollection(keep, {mu: base_coll.pairing[mu] for mu in keep}, k)
+    with pytest.raises(ValueError, match=f"through deficit {BASE_K_MAX}, this one stops at {k}"):
+        extend_all(short, 6)
+    assert extend_all(short, k).chains == keep

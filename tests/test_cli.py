@@ -125,6 +125,16 @@ def test_negative_integer_is_usage_error(tmp_path, monkeypatch, capsys, argv, ar
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["flagpole", "absorb"])
+def test_empty_range_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "5", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command}: STOP 3 is below START 5" in captured.err
+
+
 def test_flagpole_table(capsys):
     assert run(["flagpole", "6", "8", "--brute"]) == 0
     assert lines(capsys) == [
@@ -157,6 +167,27 @@ def test_absorb_without_first_order_leftover(capsys):
 def test_catalan_full(capsys):
     assert run(["catalan", "3"]) == 0
     assert lines(capsys) == ["q^3 + q^2 t + q t + q t^2 + t^3"]
+
+
+def test_catalan_above_the_limit_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["catalan", str(cli.CATALAN_MAX + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"above the limit {cli.CATALAN_MAX}" in captured.err
+
+
+def test_catalan_limit_is_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["catalan", "--help"])
+    assert exc.value.code == 0
+    assert f"at most {cli.CATALAN_MAX} without --mu" in capsys.readouterr().out
+
+
+def test_catalan_chain_share_has_no_limit(capsys):
+    assert run(["catalan", str(cli.CATALAN_MAX + 6), "--mu", "1"]) == 0
+    assert lines(capsys)[0].startswith("q^")
 
 
 def test_catalan_chain_share(capsys):

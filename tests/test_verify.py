@@ -15,12 +15,13 @@ from qtchains.verify import (
     amh_vectors,
     cat_n_mu,
     check_amh,
+    check_basic,
     check_pair,
     opposite_bruteforce,
     report_lines,
 )
 
-from oracles import chain_amh
+from oracles import cat_n_mu_by_lookup, chain_amh, opposite_per_n
 
 
 GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
@@ -117,6 +118,26 @@ def test_manual_chain_checks():
     assert all(line.endswith(" ok") for line in lines)
 
 
+def test_check_basic_looks_up_dinv_once_per_element():
+    c = chain15()
+    els = c.elements_upto(c.amh_horizon())
+    before = dinv.cache_info()
+    assert all(r.ok for r in check_basic(c, c, els))
+    after = dinv.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == len(els)
+
+
+def test_basic_a_catches_wrong_deficit_and_dinv():
+    # the elements of chain15 have deficit 5, not |31^4| = 7; their dinvs are right
+    bad = Chain((3, 1, 1, 1, 1), 5, GENS15)
+    rows = check_basic(bad, bad, bad.elements_upto(11))
+    assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 5")
+    # right deficit, but every element sits one slot below its dinv
+    bad = Chain((1, 1, 1, 1, 1), 4, GENS15)
+    rows = check_basic(bad, bad, bad.elements_upto(11))
+    assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 4")
+
+
 def unmaterializable_fails(base_coll, bad: Chain, message: str) -> None:
     """check_pair and validate_collection report the chain, without raising."""
     assert check_pair(bad, bad, 5) == [("1^5", CheckResult("basic-a", False, message))]
@@ -204,3 +225,45 @@ def test_base_pairs_opposite(base_coll):
             base_coll.chain(mu), base_coll.chain(mu_star), 8
         )
         assert all(r.ok for r in results), (mu, mu_star)
+
+
+def test_cat_n_mu_matches_lookup_oracle(base_coll):
+    for mu in base_coll.members():
+        for n in range(1, 13):
+            want = cat_n_mu_by_lookup(n, base_coll.chain(mu))
+            assert cat_n_mu(n, base_coll.chain(mu)) == want, (mu, n)
+
+
+def test_opposite_matches_per_n_oracle(coll12):
+    for mu, star in coll12.pairs():
+        chain, partner = coll12.chain(mu), coll12.chain(star)
+        assert opposite_bruteforce(chain, partner, 24) == opposite_per_n(chain, partner, 24), mu
+
+
+def _rows_or_error(check, chain: Chain, partner: Chain, n_max: int):
+    try:
+        return check(chain, partner, n_max)
+    except RuntimeError as e:
+        return str(e)
+
+
+def test_opposite_on_damaged_chains_matches_per_n_oracle(coll12):
+    """Two adjacent generators of one chain swapped: the same rows and
+    witnesses as the per-n oracle, or the same walk error."""
+    outcomes = []
+    for mu, star in coll12.pairs():
+        if sum(mu) > 8:
+            continue
+        chain, partner = coll12.chain(mu), coll12.chain(star)
+        for i in range(len(chain.generators) - 1):
+            gens = list(chain.generators)
+            gens[i], gens[i + 1] = gens[i + 1], gens[i]
+            got, want = (
+                _rows_or_error(check, Chain(mu, chain.start_dinv, gens), partner, 14)
+                for check in (opposite_bruteforce, opposite_per_n)
+            )
+            assert got == want, (mu, i)
+            outcomes.append(got)
+    failing = [o for o in outcomes if isinstance(o, list) and not all(r.ok for r in o)]
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert failing and errors
