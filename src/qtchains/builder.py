@@ -1,6 +1,7 @@
 """Assembly of the deficit-indexed chain collection.
 
-Chains of deficit at most 5 come from a frozen segment search; larger
+Chains of deficit at most 5 come from an unseeded, deterministic segment
+search whose result is frozen in data/base_collection.json; larger
 deficits are attached in pairs grown from pole templates, each new chain
 tiled from antipodal images, bridge classes, and the staged vectors of
 its own template base.
@@ -69,58 +70,15 @@ class ChainCollection:
         return [(mu, self.pairing[mu]) for mu in self.members() if mu <= self.pairing[mu]]
 
 
-# ------------------------------------------------------------------ seeding
-
-# chains printed with the source material; the rest of deficit <= 5 is
-# pinned by the frozen search
-_PRINTED = {
-    "2": ("p:111", "p:221"),
-    "3": ("p:1111", "p:222", "p:3321"),
-    "21": ("p:3111", "p:3311"),
-    "111": ("p:2111", "p:3211"),
-    "31": ("p:2211", "p:44311"),
-    "22": ("p:21^4", "p:3221"),
-    "11111": ("v:0012332", "v:0012222", "v:0012211", "v:0011111"),
-}
-
-_PINNED_PAIRS = [
-    ("0", "0"),
-    ("1", "1"),
-    ("2", "2"),
-    ("3", "3"),
-    ("21", "111"),
-    ("4", "4"),
-    ("31", "22"),
-    ("5", "5"),
-    ("11111", "11111"),
-]
-
-
-def _gen_vector(token: str) -> Vector:
-    kind, _, body = token.partition(":")
-    if kind == "p":
-        return class_from_partition(parse_partition(body))
-    if kind == "v":
-        return reduce(parse_vector(body))
-    raise ValueError(f"bad generator token {token!r}")
-
-
 # ------------------------------------------------------------------- search
 
-def search_chains(
-    k: int,
-    seeds: dict[Partition, tuple[Vector, ...]] | None = None,
-    pins: dict[Partition, Partition] | None = None,
-) -> tuple[dict[Partition, Chain], dict[Partition, Partition]]:
+def search_chains(k: int) -> tuple[dict[Partition, Chain], dict[Partition, Partition]]:
     """Find the deficit-k chains by tiling maximal first-order segments.
 
-    Seeded chains are taken as given.  The pairing is completed over the
-    unpinned partitions, self images first, then partners in increasing
+    Pairings are tried self images first, then partners in increasing
     order; segment candidates are tried in (start, vector) order and the
     first assignment whose chains pass every structural check wins.
     """
-    seeds = dict(seeds or {})
-    pins = dict(pins or {})
     mus = list(partitions_of(k))[::-1]
     base = {mu: ti(mu) for mu in mus}
     target = {mu: ti_dinv(mu) for mu in mus}
@@ -148,30 +106,9 @@ def search_chains(
     if sorted(seen) != sorted(universe):
         raise RuntimeError(f"segments do not tile the deficit-{k} classes")
 
-    by_initial = {seg[0]: i for i, (_, seg) in enumerate(segments)}
     by_end: dict[int, list[int]] = {}
     for i, (s, seg) in enumerate(segments):
         by_end.setdefault(s + len(seg) - 1, []).append(i)
-
-    fixed_used: set[int] = set()
-    seeded: dict[Partition, list[int]] = {}
-    for mu, gens in seeds.items():
-        if gens[-1] != base[mu]:
-            raise ValueError(f"seed for {format_partition(mu)} does not end at its base")
-        idxs = []
-        for g in gens[:-1]:
-            i = by_initial.get(g)
-            if i is None or i in fixed_used:
-                raise ValueError(f"seed segment {format_vector(g)} unavailable")
-            fixed_used.add(i)
-            idxs.append(i)
-        seeded[mu] = idxs
-
-    fixed_pairs: dict[Partition, Partition] = {}
-    for p, q in pins.items():
-        fixed_pairs[p] = q
-        fixed_pairs[q] = p
-    free = [mu for mu in mus if mu not in fixed_pairs]
 
     def matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
         if not pool:
@@ -184,35 +121,17 @@ def search_chains(
             for m in matchings(rest[:j] + rest[j + 1:]):
                 yield {head: other, other: head, **m}
 
-    for extra in matchings(free):
-        pairing = {**fixed_pairs, **extra}
+    for pairing in matchings(mus):
         starts = {mu: len(pairing[mu]) for mu in mus}
-
-        ok_seed = True
-        for mu, idxs in seeded.items():
-            expect = starts[mu]
-            for i in idxs:
-                s, seg = segments[i]
-                if s != expect:
-                    ok_seed = False
-                    break
-                expect = s + len(seg)
-            if not ok_seed or expect != target[mu]:
-                ok_seed = False
-                break
-        if not ok_seed:
-            continue
-
-        order = [mu for mu in mus if mu not in seeded]
-        used = set(fixed_used)
+        used: set[int] = set()
         picks: dict[Partition, list[int]] = {}
 
         def fill(idx: int) -> Iterator[dict[Partition, list[int]]]:
-            if idx == len(order):
+            if idx == len(mus):
                 if len(used) == len(segments):
                     yield {mu: list(p) for mu, p in picks.items()}
                 return
-            mu = order[idx]
+            mu = mus[idx]
             lo = starts[mu]
             chosen: list[int] = []
 
@@ -235,38 +154,26 @@ def search_chains(
             yield from back(target[mu])
 
         for assignment in fill(0):
-            chains = {}
-            for mu in mus:
-                idxs = seeded.get(mu, assignment.get(mu, []))
-                gens = [segments[i][1][0] for i in idxs] + [base[mu]]
-                chains[mu] = Chain(mu, starts[mu], gens)
-            if _chains_pass(chains, pairing, k):
+            chains = {
+                mu: Chain(mu, starts[mu], [segments[i][1][0] for i in assignment[mu]] + [base[mu]])
+                for mu in mus
+            }
+            if all(
+                r.ok
+                for mu in mus
+                if mu <= pairing[mu]
+                for _, r in check_pair(chains[mu], chains[pairing[mu]], k)
+            ):
                 return chains, pairing
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 
-def _chains_pass(chains: dict[Partition, Chain], pairing: dict[Partition, Partition], k: int) -> bool:
-    for mu, chain in chains.items():
-        if mu > pairing[mu]:
-            continue
-        if not all(r.ok for _, r in check_pair(chain, chains[pairing[mu]], k)):
-            return False
-    return True
-
-
 def search_base_collection() -> ChainCollection:
-    """Search deficits 0 through BASE_K_MAX from the printed seeds and pins."""
+    """Search deficits 0 through BASE_K_MAX, each from nothing."""
     chains: dict[Partition, Chain] = {}
     pairing: dict[Partition, Partition] = {}
-    printed = {
-        parse_partition(w): tuple(_gen_vector(t) for t in toks)
-        for w, toks in _PRINTED.items()
-    }
-    pinned = [(parse_partition(p), parse_partition(q)) for p, q in _PINNED_PAIRS]
     for k in range(BASE_K_MAX + 1):
-        seeds = {mu: g for mu, g in printed.items() if sum(mu) == k}
-        pins = {p: q for p, q in pinned if sum(p) == k}
-        got, pair_k = search_chains(k, seeds, pins)
+        got, pair_k = search_chains(k)
         chains.update(got)
         pairing.update(pair_k)
     return ChainCollection(chains, pairing, BASE_K_MAX)
@@ -275,13 +182,11 @@ def search_base_collection() -> ChainCollection:
 # ------------------------------------------------------------- serialization
 
 _FORMAT = 1
+_RECORD_TYPES = {"mu": str, "partner": str, "start": int, "generators": list}
 
 
 def _certificate(rec: dict) -> str:
-    blob = json.dumps(
-        {key: rec[key] for key in ("mu", "partner", "start", "generators")},
-        sort_keys=True,
-    )
+    blob = json.dumps({key: rec[key] for key in _RECORD_TYPES}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -304,39 +209,48 @@ def save_collection(coll: ChainCollection, path: str | Path) -> None:
     Path(path).write_text(json.dumps(collection_payload(coll), indent=1) + "\n")
 
 
-def load_collection(path: str | Path, revalidate: bool = False) -> ChainCollection:
+def load_collection(path: str | Path) -> ChainCollection:
+    """Read a stored collection.
+
+    A file of the wrong shape, a record whose certificate does not match,
+    or a pairing that is not an involution raises ValueError.
+    """
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("a collection file holds one JSON object")
     if payload.get("format") != _FORMAT:
         raise ValueError(f"unsupported collection format {payload.get('format')!r}")
+    if not isinstance(payload.get("chains"), list) or type(payload.get("k_max")) is not int:
+        raise ValueError("a collection needs a list of chains and an integer k_max")
     chains: dict[Partition, Chain] = {}
     pairing: dict[Partition, Partition] = {}
     for rec in payload["chains"]:
+        if not (
+            isinstance(rec, dict)
+            and all(type(rec.get(key)) is kind for key, kind in _RECORD_TYPES.items())
+            and all(type(g) is str for g in rec["generators"])
+        ):
+            raise ValueError(f"malformed record {json.dumps(rec)[:60]}")
         if rec.get("certificate") != _certificate(rec):
-            raise ValueError(f"corrupt record for {rec.get('mu')}")
+            raise ValueError(f"corrupt record for {rec['mu']}")
         mu = parse_partition(rec["mu"])
         chains[mu] = Chain(mu, rec["start"], [parse_vector(g) for g in rec["generators"]])
         pairing[mu] = parse_partition(rec["partner"])
     for mu, star in pairing.items():
         if star not in chains or pairing[star] != mu:
             raise ValueError(f"pairing is not an involution at {format_partition(mu)}")
-    coll = ChainCollection(chains, pairing, payload["k_max"])
-    if revalidate:
-        problems = [(c, r) for c, r in validate_collection(coll) if not r.ok]
-        if problems:
-            ctx, r = problems[0]
-            raise RuntimeError(f"stored collection fails {ctx} {r.clause}: {r.witness}")
-    return coll
+    return ChainCollection(chains, pairing, payload["k_max"])
 
 
 def _data_path() -> Path:
     return Path(str(resources.files("qtchains").joinpath("data").joinpath("base_collection.json")))
 
 
-def seed_base_collection(force_search: bool = False, revalidate: bool = False) -> ChainCollection:
+def seed_base_collection(force_search: bool = False) -> ChainCollection:
     """The deficit <= 5 collection, from the frozen file or a fresh search."""
     path = _data_path()
     if not force_search and path.is_file():
-        return load_collection(path, revalidate=revalidate)
+        return load_collection(path)
     return search_base_collection()
 
 
@@ -462,7 +376,9 @@ def needed_partitions(ctx: BuildContext) -> set[Partition]:
     return need
 
 
-def _double_lift(z: Vector) -> Vector:
+def _lifted_element(chain: Chain, d: int, length: int) -> Vector:
+    """The chain element at dinv d, re-expressed at length - 2 and lifted by 0,0."""
+    z = qdv_from_partition(partition_from_class(chain.element(d)), length - 2)
     if min(z) < 0:
         raise RuntimeError("class does not fit at the requested length")
     return (0, 0) + tuple(x + 1 for x in z)
@@ -470,17 +386,13 @@ def _double_lift(z: Vector) -> Vector:
 
 def bridge_vector(coll: ChainCollection, lam: Partition, i: int, length: int) -> Vector:
     """Deficit-|lam| chain element at dinv i-1, re-expressed at the given length."""
-    gamma = coll.chains[tuple(lam)].element(i - 1)
-    z = qdv_from_partition(partition_from_class(gamma), length - 2)
-    return _double_lift(z)
+    return _lifted_element(coll.chains[tuple(lam)], i - 1, length)
 
 
 def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
     """Area-dinv mirror of a stage vector, through the partner of its orbit label."""
     rho = _stage_source(s_vec)
-    gamma = coll.chains[coll.pairing[rho]].element(sum(s_vec) - 1)
-    z = qdv_from_partition(partition_from_class(gamma), len(s_vec) - 2)
-    return _double_lift(z)
+    return _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
 
 
 def _assemble(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import builder
 from .dyck import (
@@ -23,7 +24,12 @@ from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
 from .verify import cat_n_mu, report_lines
 
 
-CATALAN_MAX = 24  # `catalan N` for the full polynomial: about 3 s at N = 24
+# Stated budgets, each about 3 s in a cold process on a 2-vCPU host.
+CATALAN_MAX = 24  # `catalan N` for the full polynomial
+TAIL_COUNT_MAX = 40_000  # `tail --count`
+TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
+BUILD_MAX = 24  # `build K`
+OPPOSITE_MAX = 40  # `verify --opposite N`, on a deficit-16 collection
 
 
 def _partition_arg(word: str) -> Partition:
@@ -34,14 +40,16 @@ def _partition_arg(word: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {word!r}: {exc}") from None
 
 
-def _count_arg(word: str) -> int:
-    """Argument type for a count or index, which cannot be negative."""
+def _count_arg(word: str, limit: int | None = None) -> int:
+    """Argument type for a count or index: not negative, and at most limit."""
     try:
         n = int(word)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {word!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0: {word!r}")
+    if limit is not None and n > limit:
+        raise argparse.ArgumentTypeError(f"{n} is above the limit {limit}")
     return n
 
 
@@ -121,7 +129,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _load(path: str):
     try:
         return builder.load_collection(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return None
 
@@ -195,8 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="elements of the orbit indexed by a partition")
     p.add_argument("mu", type=_partition_arg)
-    p.add_argument("--count", type=_count_arg, default=10)
-    p.add_argument("--plateau", type=_count_arg, default=None, help="list one length plateau instead")
+    p.add_argument(
+        "--count",
+        type=partial(_count_arg, limit=TAIL_COUNT_MAX),
+        default=10,
+        help=f"number of elements, at most {TAIL_COUNT_MAX}",
+    )
+    p.add_argument(
+        "--plateau",
+        type=partial(_count_arg, limit=TAIL_PLATEAU_MAX),
+        default=None,
+        metavar="J",
+        help=f"list length plateau J instead, J at most {TAIL_PLATEAU_MAX}",
+    )
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("ti2", help="extended orbit base and its stage vectors")
@@ -210,15 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flagpole)
 
     p = sub.add_parser("build", help="build the chain collection up to a deficit")
-    p.add_argument("k", type=_count_arg)
+    p.add_argument("k", type=partial(_count_arg, limit=BUILD_MAX), help=f"deficit, at most {BUILD_MAX}")
     p.add_argument("--out", default="chains.json")
     p.add_argument("--mode", choices=("flagpole", "generalized"), default="flagpole")
-    p.add_argument("--force-search", action="store_true", help="ignore the frozen seed file")
+    p.add_argument(
+        "--force-search",
+        action="store_true",
+        help="search the base collection instead of loading its frozen file",
+    )
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="validate a stored collection")
     p.add_argument("path")
-    p.add_argument("--opposite", type=_count_arg, default=0, metavar="N", help="also compare path sums up to N")
+    p.add_argument(
+        "--opposite",
+        type=partial(_count_arg, limit=OPPOSITE_MAX),
+        default=0,
+        metavar="N",
+        help=f"also compare path sums up to N, at most {OPPOSITE_MAX}",
+    )
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

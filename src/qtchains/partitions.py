@@ -21,7 +21,8 @@ def as_partition(parts) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse word notation like '531^4' or '(12)84^2' into a part tuple.
 
-    '0' denotes the empty partition.  Parts above 9 are parenthesized.
+    '0' denotes the empty partition.  Parts above 9 are parenthesized;
+    an exponent must be positive.
     """
     s = text.strip()
     if s == "0" or not s:
@@ -51,6 +52,8 @@ def parse_partition(text: str) -> Partition:
                 i += 1
             else:
                 raise ValueError(f"missing exponent in {text!r}")
+            if mult < 1:
+                raise ValueError(f"exponent {mult} is not positive in {text!r}")
         parts.extend([val] * mult)
     return as_partition(parts)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from qtchains.builder import ChainCollection, _double_lift
+from qtchains.builder import ChainCollection
 from qtchains.dyck import (
     Vector,
     area,
@@ -319,7 +319,10 @@ def antipode_inverse(coll: ChainCollection, v: Vector) -> Vector | None:
     p = partition_from_class(gamma)
     if mind(p) > len(v) - 2:
         return None
-    return _double_lift(qdv_from_partition(p, len(v) - 2))
+    z = qdv_from_partition(p, len(v) - 2)
+    if min(z) < 0:
+        raise RuntimeError(f"{format_vector(z)} does not lift")
+    return (0,) + lift(z)
 
 
 # ------------------------------------------------------------ path sums

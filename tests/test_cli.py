@@ -1,10 +1,12 @@
 import json
+import shlex
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
 
 from qtchains import cli
+from qtchains.builder import _certificate
 from qtchains.cli import run
 from qtchains.partitions import parse_partition
 
@@ -80,7 +82,14 @@ def test_tail_plateau(capsys):
 
 @pytest.mark.parametrize(
     "argv,word",
-    [(["tail", "2x1"], "2x1"), (["ti2", "2x1"], "2x1"), (["catalan", "4", "--mu", "1y"], "1y")],
+    [
+        (["tail", "2x1"], "2x1"),
+        (["ti2", "2x1"], "2x1"),
+        (["catalan", "4", "--mu", "1y"], "1y"),
+        (["tail", "3^0"], "3^0"),
+        (["tail", "23^0"], "23^0"),
+        (["ti2", "1^(0)"], "1^(0)"),
+    ],
 )
 def test_bad_partition_is_usage_error(capsys, argv, word):
     with pytest.raises(SystemExit) as exc:
@@ -123,6 +132,35 @@ def test_negative_integer_is_usage_error(tmp_path, monkeypatch, capsys, argv, ar
     assert captured.out == ""
     assert f"argument {arg}: must be at least 0" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+LIMITS = [
+    (["tail", "21", "--count"], "--count", cli.TAIL_COUNT_MAX),
+    (["tail", "21", "--plateau"], "--plateau", cli.TAIL_PLATEAU_MAX),
+    (["build"], "k", cli.BUILD_MAX),
+    (["verify", "chains.json", "--opposite"], "--opposite", cli.OPPOSITE_MAX),
+]
+LIMIT_IDS = ["tail-count", "tail-plateau", "build", "verify-opposite"]
+
+
+@pytest.mark.parametrize("argv,arg,limit", LIMITS, ids=LIMIT_IDS)
+def test_above_a_limit_is_usage_error(tmp_path, monkeypatch, capsys, argv, arg, limit):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [str(limit + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {arg}: {limit + 1} is above the limit {limit}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,arg,limit", LIMITS, ids=LIMIT_IDS)
+def test_limit_is_in_the_help(capsys, argv, arg, limit):
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert f"at most {limit}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["flagpole", "absorb"])
@@ -254,6 +292,60 @@ def test_verify_rejects_damage(tmp_path, capsys):
 
     assert run(["export", str(bad)]) == 1
     assert "cannot load" in capsys.readouterr().err
+
+
+def certified(**fields):
+    """A deficit-0 record with the given fields changed, its certificate recomputed."""
+    rec = {"mu": "0", "partner": "0", "start": 0, "generators": ["0"], **fields}
+    return {**rec, "certificate": _certificate(rec)}
+
+
+def collection(*records, k_max=5):
+    return {"format": 1, "k_max": k_max, "chains": list(records)}
+
+
+MALFORMED = {
+    "list-payload": [],
+    "chains-not-list": {"format": 1, "k_max": 5, "chains": 5},
+    "record-not-object": collection("x"),
+    "k_max-not-int": collection(certified(), k_max="5"),
+    "start-not-int": collection(certified(start="0")),
+    "generators-not-list": collection(certified(generators="0")),
+    "generator-not-string": collection(certified(generators=[0])),
+    "mu-not-string": collection(certified(mu=0)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_malformed_file_is_a_load_error(tmp_path, capsys, command, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED[name]))
+    assert run([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot load {bad}: ")
+
+
+def test_certified_record_loads(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(collection(certified(), k_max=0)))
+    assert run(["verify", str(good)]) == 0
+    assert lines(capsys)[-1].endswith("checks passed")
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every `qtchains ...` line of the sh block under `## Command line` in
+    README.md, its comment stripped, runs with exit status 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("qtchains ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert run(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def declared_scripts():

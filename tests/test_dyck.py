@@ -108,6 +108,12 @@ def test_partition_word_round_trip(mults):
     assert parse_partition(format_partition(p)) == p
 
 
+@pytest.mark.parametrize("word", ["3^0", "23^0", "1^(0)", "3^(-1)", "3^"])
+def test_bad_partition_word(word):
+    with pytest.raises(ValueError):
+        parse_partition(word)
+
+
 def test_reduce_goldens():
     assert reduce((0, -1, 0)) == (0, 1, 0, 1)
     assert reduce((0, 1, 2, 3)) == (0,)
