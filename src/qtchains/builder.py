@@ -210,11 +210,7 @@ def save_collection(coll: ChainCollection, path: str | Path) -> None:
 
 
 def load_collection(path: str | Path) -> ChainCollection:
-    """Read a stored collection.
-
-    A file of the wrong shape, a record whose certificate does not match,
-    or a pairing that is not an involution raises ValueError.
-    """
+    """Read a stored collection; a malformed or inconsistent file raises ValueError."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("a collection file holds one JSON object")

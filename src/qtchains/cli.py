@@ -232,11 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=partial(_count_arg, limit=BUILD_MAX), help=f"deficit, at most {BUILD_MAX}")
     p.add_argument("--out", default="chains.json")
     p.add_argument("--mode", choices=("flagpole", "generalized"), default="flagpole")
-    p.add_argument(
-        "--force-search",
-        action="store_true",
-        help="search the base collection instead of loading its frozen file",
-    )
+    p.add_argument("--force-search", action="store_true", help="rerun the base search, not its frozen file")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="validate a stored collection")
