@@ -24,7 +24,7 @@ from .dyck import (
 )
 from .flagpole import count_flagpole, is_flagpole, phi, phi_inv, psi, psi_inv
 from .partitions import format_partition, parse_partition, partitions_of
-from .poly import QtPolynomial, cat_n
+from .poly import QtPolynomial, cat_n, deficit_slice
 from .steps import nd, nd1, nd2, nu, nu1, nu2
 from .tails import locate_in_tail, s_vectors, tail_elements, ti, ti2
 from .verify import Chain, amh_vectors, cat_n_mu, opposite_bruteforce
@@ -44,6 +44,7 @@ __all__ = [
     "class_from_partition",
     "count_flagpole",
     "defc",
+    "deficit_slice",
     "dinv",
     "extend_all",
     "format_partition",

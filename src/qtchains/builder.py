@@ -47,6 +47,9 @@ from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
 
+Assignment = tuple[dict[Partition, Chain], dict[Partition, Partition]]  # chains and their pairing
+Segment = tuple[int, tuple[Vector, ...]]  # a maximal first-order segment: start dinv, classes
+
 
 @dataclass
 class ChainCollection:
@@ -72,13 +75,46 @@ class ChainCollection:
 
 # ------------------------------------------------------------------- search
 
-def search_chains(k: int) -> tuple[dict[Partition, Chain], dict[Partition, Partition]]:
-    """Find the deficit-k chains by tiling maximal first-order segments.
+def _tilings(segments: list[Segment], lo: int, hi: int, table: dict) -> list[tuple[int, ...]]:
+    """The segment-index tuples that tile dinvs lo..hi-1, in the order a backward
+    depth-first search from hi meets them; table memoizes (lo, hi)."""
+    if (lo, hi) not in table:
+        table[lo, hi] = [()] if hi == lo else [
+            t + (i,)
+            for i, (s, seg) in enumerate(segments)
+            if s + len(seg) == hi and s >= lo
+            for t in _tilings(segments, lo, s, table)
+        ]
+    return table[lo, hi]
 
-    Pairings are tried self images first, then partners in increasing
-    order; segment candidates are tried in (start, vector) order and the
-    first assignment whose chains pass every structural check wins.
-    """
+
+def _matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
+    """Every involution of pool: the head self-paired first, then with each later partner."""
+    if not pool:
+        yield {}
+        return
+    for other in pool:
+        for m in _matchings([x for x in pool[1:] if x != other]):
+            yield {pool[0]: other, other: pool[0], **m}
+
+
+def _exact_covers(options: list[list[tuple[int, ...]]], free: frozenset[int]) -> Iterator[tuple]:
+    """One tiling from each option list, together using each index of free once."""
+    if not options:
+        if not free:
+            yield ()
+        return
+    for t in options[0]:
+        if free.issuperset(t):
+            for rest in _exact_covers(options[1:], free.difference(t)):
+                yield (t,) + rest
+
+
+def chain_candidates(k: int) -> Iterator[Assignment]:
+    """Every deficit-k assignment of chains and pairing whose chains tile the classes.
+
+    Pairings come self images first, then partners in increasing order;
+    within one, tilings in (start, vector) segment order."""
     mus = list(partitions_of(k))[::-1]
     base = {mu: ti(mu) for mu in mus}
     target = {mu: ti_dinv(mu) for mu in mus}
@@ -86,7 +122,7 @@ def search_chains(k: int) -> tuple[dict[Partition, Chain], dict[Partition, Parti
 
     bases = set(base.values())
     universe = enumerate_deficit(k, horizon)
-    segments: list[tuple[int, tuple[Vector, ...]]] = []
+    segments: list[Segment] = []
     for c in universe:
         if c in bases or not is_nu1_initial(c):
             continue
@@ -98,7 +134,7 @@ def search_chains(k: int) -> tuple[dict[Partition, Chain], dict[Partition, Parti
             if len(seg) > 2 * horizon + 4:
                 raise RuntimeError(f"segment from {c} does not stop")
         segments.append((dinv(c), tuple(seg)))
-    segments.sort(key=lambda s: (s[0], s[1]))
+    segments.sort()
 
     seen = [e for _, seg in segments for e in seg]
     for mu in mus:
@@ -106,65 +142,28 @@ def search_chains(k: int) -> tuple[dict[Partition, Chain], dict[Partition, Parti
     if sorted(seen) != sorted(universe):
         raise RuntimeError(f"segments do not tile the deficit-{k} classes")
 
-    by_end: dict[int, list[int]] = {}
-    for i, (s, seg) in enumerate(segments):
-        by_end.setdefault(s + len(seg) - 1, []).append(i)
+    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for pairing in _matchings(mus):
+        options = [_tilings(segments, len(pairing[mu]), target[mu], table) for mu in mus]
+        for choice in _exact_covers(options, frozenset(range(len(segments)))):
+            yield {
+                mu: Chain(mu, len(pairing[mu]), [segments[i][1][0] for i in tiles] + [base[mu]])
+                for mu, tiles in zip(mus, choice)
+            }, pairing
 
-    def matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
-        if not pool:
-            yield {}
-            return
-        head, rest = pool[0], pool[1:]
-        for m in matchings(rest):
-            yield {head: head, **m}
-        for j, other in enumerate(rest):
-            for m in matchings(rest[:j] + rest[j + 1:]):
-                yield {head: other, other: head, **m}
 
-    for pairing in matchings(mus):
-        starts = {mu: len(pairing[mu]) for mu in mus}
-        used: set[int] = set()
-        picks: dict[Partition, list[int]] = {}
+def assignment_passes(assignment: Assignment, k: int) -> bool:
+    """Every chain pair of a deficit-k assignment passes check_pair."""
+    chains, pairing = assignment
+    pairs = [(chain, chains[pairing[mu]]) for mu, chain in chains.items() if mu <= pairing[mu]]
+    return all(r.ok for chain, partner in pairs for _, r in check_pair(chain, partner, k))
 
-        def fill(idx: int) -> Iterator[dict[Partition, list[int]]]:
-            if idx == len(mus):
-                if len(used) == len(segments):
-                    yield {mu: list(p) for mu, p in picks.items()}
-                return
-            mu = mus[idx]
-            lo = starts[mu]
-            chosen: list[int] = []
 
-            def back(cur: int) -> Iterator[dict[Partition, list[int]]]:
-                if cur == lo:
-                    picks[mu] = list(reversed(chosen))
-                    yield from fill(idx + 1)
-                    return
-                if cur < lo:
-                    return
-                for i in by_end.get(cur - 1, []):
-                    if i in used:
-                        continue
-                    used.add(i)
-                    chosen.append(i)
-                    yield from back(segments[i][0])
-                    chosen.pop()
-                    used.remove(i)
-
-            yield from back(target[mu])
-
-        for assignment in fill(0):
-            chains = {
-                mu: Chain(mu, starts[mu], [segments[i][1][0] for i in assignment[mu]] + [base[mu]])
-                for mu in mus
-            }
-            if all(
-                r.ok
-                for mu in mus
-                if mu <= pairing[mu]
-                for _, r in check_pair(chains[mu], chains[pairing[mu]], k)
-            ):
-                return chains, pairing
+def search_chains(k: int) -> Assignment:
+    """The first of chain_candidates(k) whose chain pairs pass every check."""
+    for assignment in chain_candidates(k):
+        if assignment_passes(assignment, k):
+            return assignment
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 
@@ -230,6 +229,10 @@ def load_collection(path: str | Path) -> ChainCollection:
         if rec.get("certificate") != _certificate(rec):
             raise ValueError(f"corrupt record for {rec['mu']}")
         mu = parse_partition(rec["mu"])
+        if mu in chains:
+            raise ValueError(f"repeated record for {rec['mu']}")
+        if sum(mu) > payload["k_max"]:
+            raise ValueError(f"{rec['mu']} has deficit {sum(mu)}, above k_max {payload['k_max']}")
         chains[mu] = Chain(mu, rec["start"], [parse_vector(g) for g in rec["generators"]])
         pairing[mu] = parse_partition(rec["partner"])
     for mu, star in pairing.items():
@@ -264,57 +267,27 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
                 rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
             except RuntimeError as e:
                 rows.append((name, CheckResult("opposite", False, str(e))))
-    by_k: dict[int, list[Partition]] = {}
+    by_k: dict[int, dict[Partition, Chain]] = {}
     for mu in coll.members():
-        by_k.setdefault(sum(mu), []).append(mu)
+        by_k.setdefault(sum(mu), {})[mu] = coll.chains[mu]
     for k, group in sorted(by_k.items()):
-        d_hi = coverage_bound(k) + 10
-        owner: dict[Vector, Partition] = {}
-        clash = ""
-        for mu in group:
-            try:
-                els = coll.chains[mu].elements_upto(d_hi)
-            except RuntimeError as e:
-                clash = str(e)
-                break
-            for c in els:
-                if c in owner and owner[c] != mu:
-                    clash = (
-                        f"{format_vector(c)} in {format_partition(owner[c])}"
-                        f" and {format_partition(mu)}"
-                    )
-                    break
-                owner[c] = mu
-            if clash:
-                break
+        clash = _first_clash(group, coverage_bound(k) + 10)
         rows.append((f"deficit {k}", CheckResult("disjoint", not clash, clash)))
     return rows
 
 
-def coverage_check(coll: ChainCollection, k: int, d_hi: int | None = None) -> CheckResult:
-    """The deficit-k chains tile every class with dinv up to d_hi."""
-    if d_hi is None:
-        d_hi = coverage_bound(k) + 10
-    have: list[Vector] = []
-    for mu in coll.members():
-        if sum(mu) == k:
-            try:
-                have.extend(coll.chains[mu].elements_upto(d_hi))
-            except RuntimeError as e:
-                return CheckResult(f"coverage-k{k}", False, str(e))
-    want = enumerate_deficit(k, d_hi)
-    ok = sorted(have) == sorted(want)
-    witness = ""
-    if not ok:
-        missing = sorted(set(want) - set(have))
-        surplus = sorted(set(have) - set(want))
-        if missing:
-            witness = f"missing {format_vector(missing[0])}"
-        elif surplus:
-            witness = f"unexpected {format_vector(surplus[0])}"
-        else:
-            witness = "duplicate classes"
-    return CheckResult(f"coverage-k{k}", ok, witness)
+def _first_clash(chains: dict[Partition, Chain], d_hi: int) -> str:
+    """The first class two chains share up to dinv d_hi, or the first walk error; "" if none."""
+    owner: dict[Vector, Partition] = {}
+    for mu, chain in chains.items():
+        try:
+            els = chain.elements_upto(d_hi)
+        except RuntimeError as e:
+            return str(e)
+        for c in els:
+            if owner.setdefault(c, mu) != mu:
+                return f"{format_vector(c)} in {format_partition(owner[c])} and {format_partition(mu)}"
+    return ""
 
 
 # ---------------------------------------------------------------- extension
@@ -329,6 +302,12 @@ class BuildContext:
     lam_star: Partition
     stages: TailTwoSummary
     stages_star: TailTwoSummary
+
+    def swapped(self) -> BuildContext:
+        """The same pair seen from the partner's side."""
+        return BuildContext(
+            self.mu_star, self.mu, self.lam_star, self.lam, self.stages_star, self.stages
+        )
 
 
 def build_context(coll: ChainCollection, mu: Partition) -> BuildContext:
@@ -391,34 +370,20 @@ def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
     return _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
 
 
-def _assemble(
-    coll: ChainCollection,
-    mu: Partition,
-    mu_star: Partition,
-    lam: Partition,
-    stages: TailTwoSummary,
-    stages_star: TailTwoSummary,
-) -> Chain:
-    length = len(stages.v)
-    d_high = dinv(stages.v)
-    a_partner = area(stages_star.v)
-    gens: list[Vector] = []
-    for j in range(len(stages_star.s_vectors) - 1, 0, -1):
-        gens.append(antipode(coll, stages_star.s_vectors[j]))
-    for i in range(a_partner, d_high - 1, 2):
-        gens.append(bridge_vector(coll, lam, i, length))
+def _assemble(coll: ChainCollection, ctx: BuildContext) -> Chain:
+    """The chain of ctx.mu: partner antipodes, then bridges, then its own stages."""
+    stages, stages_star = ctx.stages, ctx.stages_star
+    gens = [antipode(coll, s_vec) for s_vec in stages_star.s_vectors[:0:-1]]
+    for i in range(area(stages_star.v), dinv(stages.v) - 1, 2):
+        gens.append(bridge_vector(coll, ctx.lam, i, len(stages.v)))
     gens.extend(stages.s_vectors)
-    return Chain(mu, len(mu_star), gens)
+    return Chain(ctx.mu, len(ctx.mu_star), gens)
 
 
 def build_flagpole_pair(coll: ChainCollection, ctx: BuildContext) -> dict[Partition, Chain]:
     """Assemble the chain pair that ctx resolved, keyed by partition."""
-    built = {ctx.mu: _assemble(coll, ctx.mu, ctx.mu_star, ctx.lam, ctx.stages, ctx.stages_star)}
-    if ctx.mu_star != ctx.mu:
-        built[ctx.mu_star] = _assemble(
-            coll, ctx.mu_star, ctx.mu, ctx.lam_star, ctx.stages_star, ctx.stages
-        )
-    return built
+    sides = [ctx] if ctx.mu_star == ctx.mu else [ctx, ctx.swapped()]
+    return {side.mu: _assemble(coll, side) for side in sides}
 
 
 def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> ChainCollection:
@@ -458,8 +423,7 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
             if not needed_partitions(ctx) <= set(chains):
                 continue
             built = build_flagpole_pair(cur, ctx)
-            partner_chain = built.get(ctx.mu_star, built[ctx.mu])
-            bad = [r for _, r in check_pair(built[ctx.mu], partner_chain, k) if not r.ok]
+            bad = [r for _, r in check_pair(built[ctx.mu], built[ctx.mu_star], k) if not r.ok]
             if bad:
                 raise RuntimeError(
                     f"assembled pair for {format_partition(mu)} fails "

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
-from .partitions import Partition
+from .partitions import Partition, read_number
 
 Vector = tuple[int, ...]
 
@@ -37,16 +37,8 @@ def parse_vector(text: str) -> Vector:
     out: list[int] = []
     i = 0
     while i < len(s):
-        c = s[i]
-        if c == "(":
-            j = s.index(")", i)
-            out.append(int(s[i + 1 : j]))
-            i = j + 1
-        elif c.isdigit():
-            out.append(int(c))
-            i += 1
-        else:
-            raise ValueError(f"unexpected {c!r} in {text!r}")
+        x, i = read_number(s, i)
+        out.append(x)
     return check_qdv(out)
 
 
@@ -60,13 +52,6 @@ def format_vector(v: Vector) -> str:
 def lift(v: Vector) -> Vector:
     """Prepend a 0 and shift up: the longer representative of the same class."""
     return (0,) + tuple(x + 1 for x in v)
-
-
-def unlift(v: Vector) -> Vector | None:
-    """Drop the first entry and shift down, or None when the result would not start at 0."""
-    if len(v) >= 2 and v[1] == 1:
-        return tuple(x - 1 for x in v[1:])
-    return None
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,17 @@ def as_partition(parts) -> Partition:
     return t
 
 
+def read_number(text: str, i: int) -> tuple[int, int]:
+    """The digit or parenthesized integer at text[i], and the index after it."""
+    c = text[i]
+    if c.isdigit():
+        return int(c), i + 1
+    if c == "(":
+        j = text.index(")", i)
+        return int(text[i + 1 : j]), j + 1
+    raise ValueError(f"unexpected {c!r} in {text!r}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse word notation like '531^4' or '(12)84^2' into a part tuple.
 
@@ -30,28 +41,12 @@ def parse_partition(text: str) -> Partition:
     parts: list[int] = []
     i = 0
     while i < len(s):
-        c = s[i]
-        if c == "(":
-            j = s.index(")", i)
-            val = int(s[i + 1 : j])
-            i = j + 1
-        elif c.isdigit():
-            val = int(c)
-            i += 1
-        else:
-            raise ValueError(f"unexpected {c!r} in {text!r}")
+        val, i = read_number(s, i)
         mult = 1
         if i < len(s) and s[i] == "^":
-            i += 1
-            if i < len(s) and s[i] == "(":
-                j = s.index(")", i)
-                mult = int(s[i + 1 : j])
-                i = j + 1
-            elif i < len(s) and s[i].isdigit():
-                mult = int(s[i])
-                i += 1
-            else:
+            if i + 1 == len(s):
                 raise ValueError(f"missing exponent in {text!r}")
+            mult, i = read_number(s, i + 1)
             if mult < 1:
                 raise ValueError(f"exponent {mult} is not positive in {text!r}")
         parts.extend([val] * mult)

@@ -12,8 +12,8 @@ from .dyck import (
     Vector,
     class_from_partition,
     partition_from_class,
+    qdv_from_partition,
     reduce,
-    unlift,
 )
 from .partitions import Partition
 
@@ -54,25 +54,23 @@ def nd1(c: Vector) -> Vector | None:
 # ----------------------------------------------------------- second order
 
 def rep_ending_minus_one(c: Vector) -> Vector | None:
-    """The representative of the class ending in -1, when one exists."""
-    v = reduce(c)
-    while v[-1] >= 0:
-        w = unlift(v)
-        if w is None:
-            return None
-        v = w
-    return v if v[-1] == -1 else None
+    """The representative of the class ending in -1, when one exists.
+
+    A length-n vector of partition p ends in n - 1 - p[0], so that length is
+    p[0], which must exceed the number of parts.
+    """
+    p = partition_from_class(c)
+    return qdv_from_partition(p, p[0]) if p and p[0] > len(p) else None
 
 
 def rep_starting_00(c: Vector) -> Vector | None:
-    """The representative of the class starting 0 0, when one exists."""
-    v = reduce(c)
-    while not (len(v) >= 2 and v[1] == 0):
-        w = unlift(v)
-        if w is None:
-            return None
-        v = w
-    return v
+    """The representative of the class starting 0 0, when one exists.
+
+    The vector of partition p of length len(p) + 1 has second entry 1 - p[-1];
+    every longer one has second entry 1.
+    """
+    p = partition_from_class(c)
+    return qdv_from_partition(p, len(p) + 1) if p and p[-1] == 1 else None
 
 
 def nu2(c: Vector) -> Vector | None:

@@ -275,16 +275,6 @@ def _evens(runs: tuple[int, ...], upto: int) -> int:
     return sum(1 for n in runs[:upto] if n % 2 == 0)
 
 
-def _v_stage(runs: tuple[int, ...], c: Vector, i: int) -> Vector:
-    head: tuple[int, ...] = (0, 0)
-    for n in runs[i:]:
-        head += (1,) + (2,) * n
-    out = head + (1,) * _evens(runs, i) + c
-    for n in runs[:i]:
-        out += _block(n)
-    return out
-
-
 def _v_end(runs: tuple[int, ...], c: Vector) -> Vector:
     out = (0, 0) + (1,) * _evens(runs, len(runs)) + c
     for n in runs[:-1]:
@@ -334,7 +324,7 @@ def s_vectors(v: Vector) -> TailTwoSummary:
         for half in range(1, runs[i] // 2 + 1):
             out.append(_v_partial(runs, c, i, half))
         if runs[i] % 2 == 1:
-            out.append(_v_stage(runs, c, i + 1) if i < r else _v_end(runs, c))
+            out.append(_v_partial(runs, c, i + 1, 0) if i < r else _v_end(runs, c))
     if runs[r] % 2 == 0 and out[-1] != _v_end(runs, c):
         raise RuntimeError(f"closed forms disagree at the end of {v}")
     mu = partition_from_b_word(out[-1][1:])
@@ -347,26 +337,3 @@ def s_vectors(v: Vector) -> TailTwoSummary:
         lengths=tuple(len(s) for s in out),
         dinvs=tuple(dinv(s) for s in out),
     )
-
-
-def format_profile(values: list[int]) -> str:
-    """Run-length format with alternation folding: '11,12,(10,11)^7,10,11^10'."""
-    chunks: list[str] = []
-    i = 0
-    n = len(values)
-    while i < n:
-        if i + 3 < n and values[i] != values[i + 1]:
-            x, y = values[i], values[i + 1]
-            m = 1
-            while i + 2 * m + 1 < n and values[i + 2 * m] == x and values[i + 2 * m + 1] == y:
-                m += 1
-            if m >= 2:
-                chunks.append(f"({x},{y})^{m}")
-                i += 2 * m
-                continue
-        run = 1
-        while i + run < n and values[i + run] == values[i]:
-            run += 1
-        chunks.append(str(values[i]) if run == 1 else f"{values[i]}^{run}")
-        i += run
-    return ",".join(chunks)

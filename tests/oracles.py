@@ -13,19 +13,26 @@ from qtchains.dyck import (
     class_from_partition,
     defc,
     dinv,
+    enumerate_deficit,
     format_vector,
     lift,
     mind,
     partition_from_class,
     qdv_from_partition,
     reduce,
-    unlift,
 )
 from qtchains.flagpole import v_template
 from qtchains.partitions import Partition, format_partition, partitions_of
 from qtchains.poly import QtPolynomial
 from qtchains.steps import nd, nu, nu1
-from qtchains.tails import TailTwoSummary, locate_in_tail, staircase_profile, ti, ti_dinv
+from qtchains.tails import (
+    TailTwoSummary,
+    coverage_bound,
+    locate_in_tail,
+    staircase_profile,
+    ti,
+    ti_dinv,
+)
 from qtchains.verify import AmhVectors, Chain, CheckResult, amh_vectors
 
 
@@ -214,6 +221,35 @@ def chain_walk_by_nu1(chain: Chain, d: int) -> list[Vector]:
     return out
 
 
+def unlift(v: Vector) -> Vector | None:
+    """Drop the first entry and shift down, or None when the result would not start at 0."""
+    if len(v) >= 2 and v[1] == 1:
+        return tuple(x - 1 for x in v[1:])
+    return None
+
+
+def rep_ending_minus_one_by_unlift(c: Vector) -> Vector | None:
+    """Unlift the reduced vector until its last entry turns negative; keep it when that is -1."""
+    v = reduce(c)
+    while v[-1] >= 0:
+        w = unlift(v)
+        if w is None:
+            return None
+        v = w
+    return v if v[-1] == -1 else None
+
+
+def rep_starting_00_by_unlift(c: Vector) -> Vector | None:
+    """Unlift the reduced vector until its second entry is 0."""
+    v = reduce(c)
+    while not (len(v) >= 2 and v[1] == 0):
+        w = unlift(v)
+        if w is None:
+            return None
+        v = w
+    return v
+
+
 def has_cycled_ternary_rep(c: Vector) -> bool:
     """True when some representative has entries in -1..2 with no -1 before a 2."""
     v: Vector | None = reduce(c)
@@ -353,3 +389,51 @@ def opposite_per_n(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult
         witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out
+
+
+def format_profile(values: list[int]) -> str:
+    """Run-length format with alternation folding: '11,12,(10,11)^7,10,11^10'."""
+    chunks: list[str] = []
+    i = 0
+    n = len(values)
+    while i < n:
+        if i + 3 < n and values[i] != values[i + 1]:
+            x, y = values[i], values[i + 1]
+            m = 1
+            while i + 2 * m + 1 < n and values[i + 2 * m] == x and values[i + 2 * m + 1] == y:
+                m += 1
+            if m >= 2:
+                chunks.append(f"({x},{y})^{m}")
+                i += 2 * m
+                continue
+        run = 1
+        while i + run < n and values[i + run] == values[i]:
+            run += 1
+        chunks.append(str(values[i]) if run == 1 else f"{values[i]}^{run}")
+        i += run
+    return ",".join(chunks)
+
+
+def coverage_check(coll: ChainCollection, k: int) -> CheckResult:
+    """The deficit-k chains tile every class with dinv up to coverage_bound(k) + 10."""
+    d_hi = coverage_bound(k) + 10
+    have: list[Vector] = []
+    for mu in coll.members():
+        if sum(mu) == k:
+            try:
+                have.extend(coll.chains[mu].elements_upto(d_hi))
+            except RuntimeError as e:
+                return CheckResult(f"coverage-k{k}", False, str(e))
+    want = enumerate_deficit(k, d_hi)
+    ok = sorted(have) == sorted(want)
+    witness = ""
+    if not ok:
+        missing = sorted(set(want) - set(have))
+        surplus = sorted(set(have) - set(want))
+        if missing:
+            witness = f"missing {format_vector(missing[0])}"
+        elif surplus:
+            witness = f"unexpected {format_vector(surplus[0])}"
+        else:
+            witness = "duplicate classes"
+    return CheckResult(f"coverage-k{k}", ok, witness)

@@ -47,11 +47,18 @@ from qtchains.verify import cat_n_mu, check_amh, opposite_bruteforce
 from qtchains.builder import (
     antipode,
     bridge_vector,
-    coverage_check,
     validate_collection,
 )
 
-from oracles import chain_amh, defc_pairs, dinv_extended, dyck_vectors, is_reduced, tail_iter
+from oracles import (
+    chain_amh,
+    coverage_check,
+    defc_pairs,
+    dinv_extended,
+    dyck_vectors,
+    is_reduced,
+    tail_iter,
+)
 
 
 def _report(num: int, ok: bool) -> None:

@@ -10,10 +10,11 @@ from qtchains.builder import (
     BASE_K_MAX,
     ChainCollection,
     antipode,
+    assignment_passes,
     bridge_vector,
     build_context,
+    chain_candidates,
     collection_payload,
-    coverage_check,
     extend_all,
     load_collection,
     needed_partitions,
@@ -25,10 +26,10 @@ from qtchains.builder import (
 from qtchains.dyck import dinv, format_vector, parse_vector
 from qtchains.flagpole import is_flagpole
 from qtchains.partitions import format_partition, parse_partition, partitions_of
-from qtchains.tails import coverage_bound, format_profile
+from qtchains.tails import coverage_bound
 from qtchains.verify import Chain, CheckResult
 
-from oracles import antipode_inverse, chain_amh, chain_walk_by_nu1
+from oracles import antipode_inverse, chain_amh, chain_walk_by_nu1, coverage_check, format_profile
 
 BASE_PRINTED = [
     ("0", "0", 0, "0"),
@@ -87,6 +88,14 @@ def test_pairing_is_involution(base_coll):
 def test_search_reproduces_frozen_file(base_coll):
     fresh = search_base_collection()
     assert collection_payload(fresh) == collection_payload(base_coll)
+
+
+def test_one_candidate_passes_at_each_base_deficit():
+    # with a single certified assignment per deficit, no candidate order can
+    # change the base collection
+    for k in range(BASE_K_MAX + 1):
+        passing = [a for a in chain_candidates(k) if assignment_passes(a, k)]
+        assert len(passing) == 1, k
 
 
 def test_base_collection_validates(base_coll):

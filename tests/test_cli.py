@@ -313,6 +313,10 @@ MALFORMED = {
     "generators-not-list": collection(certified(generators="0")),
     "generator-not-string": collection(certified(generators=[0])),
     "mu-not-string": collection(certified(mu=0)),
+    "repeated-mu": collection(certified(), certified()),
+    "deficit-above-k_max": collection(
+        certified(), certified(mu="1", partner="1", start=1, generators=["001"]), k_max=0
+    ),
 }
 
 

@@ -17,7 +17,6 @@ from qtchains.dyck import (
     partition_from_class,
     qdv_from_partition,
     reduce,
-    unlift,
 )
 from qtchains.partitions import format_partition, parse_partition
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     dinv_extended,
     dyck_vectors,
     is_reduced,
+    unlift,
 )
 
 

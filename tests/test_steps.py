@@ -9,6 +9,7 @@ from qtchains.dyck import (
     partition_from_class,
     reduce,
 )
+from qtchains.partitions import partitions_of
 from qtchains.steps import (
     is_nu1_initial,
     nd,
@@ -22,7 +23,14 @@ from qtchains.steps import (
     rep_starting_00,
 )
 
-from oracles import dyck_vectors, is_reduced, nd1_qdv, nu1_qdv
+from oracles import (
+    dyck_vectors,
+    is_reduced,
+    nd1_qdv,
+    nu1_qdv,
+    rep_ending_minus_one_by_unlift,
+    rep_starting_00_by_unlift,
+)
 
 
 def small_classes(k_max=5, d_max=22):
@@ -92,6 +100,14 @@ def test_special_representatives():
     assert rep_ending_minus_one((0, 0, 1)) is None
     assert rep_starting_00((0, 1, 1, 2, 0, 1)) == (0, 0, 1, -1, 0)
     assert rep_starting_00((0, 1, 0)) is None
+
+
+def test_special_representatives_match_unlift_walk():
+    for size in range(21):
+        for p in partitions_of(size):
+            c = class_from_partition(p)
+            assert rep_ending_minus_one(c) == rep_ending_minus_one_by_unlift(c), p
+            assert rep_starting_00(c) == rep_starting_00_by_unlift(c), p
 
 
 def test_nu2_rule_goldens():

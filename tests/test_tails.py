@@ -19,7 +19,6 @@ from qtchains.tails import (
     absorption_counts,
     b_word,
     coverage_bound,
-    format_profile,
     locate_in_tail,
     partition_from_b_word,
     plateau,
@@ -34,6 +33,7 @@ from qtchains.tails import (
 )
 
 from oracles import (
+    format_profile,
     locate_in_tail2,
     stage_vectors_bruteforce,
     summary_profile,
