@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from math import comb
@@ -29,8 +30,10 @@ from .dyck import (
     qdv_from_partition,
     reduce,
 )
-from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv, template_match
-from .partitions import Partition, format_partition, parse_partition, partitions_of
+from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv
+from .partitions import (
+    Partition, count_partitions_max, format_partition, parse_partition, partitions_of
+)
 from .steps import is_nu1_initial, nu1_partition
 from .tails import (
     TailTwoSummary,
@@ -47,7 +50,6 @@ from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
 
-Assignment = tuple[dict[Partition, Chain], dict[Partition, Partition]]  # chains and their pairing
 Segment = tuple[int, tuple[Vector, ...]]  # a maximal first-order segment: start dinv, classes
 
 
@@ -110,8 +112,8 @@ def _exact_covers(options: list[list[tuple[int, ...]]], free: frozenset[int]) ->
                 yield (t,) + rest
 
 
-def chain_candidates(k: int) -> Iterator[Assignment]:
-    """Every deficit-k assignment of chains and pairing whose chains tile the classes.
+def chain_candidates(k: int) -> Iterator[ChainCollection]:
+    """Every deficit-k collection of chains and pairing whose chains tile the classes.
 
     Pairings come self images first, then partners in increasing order;
     within one, tilings in (start, vector) segment order."""
@@ -146,36 +148,35 @@ def chain_candidates(k: int) -> Iterator[Assignment]:
     for pairing in _matchings(mus):
         options = [_tilings(segments, len(pairing[mu]), target[mu], table) for mu in mus]
         for choice in _exact_covers(options, frozenset(range(len(segments)))):
-            yield {
+            chains = {
                 mu: Chain(mu, len(pairing[mu]), [segments[i][1][0] for i in tiles] + [base[mu]])
                 for mu, tiles in zip(mus, choice)
-            }, pairing
+            }
+            yield ChainCollection(chains, pairing, k)
 
 
-def assignment_passes(assignment: Assignment, k: int) -> bool:
-    """Every chain pair of a deficit-k assignment passes check_pair."""
-    chains, pairing = assignment
-    pairs = [(chain, chains[pairing[mu]]) for mu, chain in chains.items() if mu <= pairing[mu]]
-    return all(r.ok for chain, partner in pairs for _, r in check_pair(chain, partner, k))
+def assignment_passes(coll: ChainCollection) -> bool:
+    """Every chain pair of the collection passes check_pair."""
+    return all(
+        r.ok
+        for mu, star in coll.pairs()
+        for _, r in check_pair(coll.chains[mu], coll.chains[star], sum(mu))
+    )
 
 
-def search_chains(k: int) -> Assignment:
+def search_chains(k: int) -> ChainCollection:
     """The first of chain_candidates(k) whose chain pairs pass every check."""
-    for assignment in chain_candidates(k):
-        if assignment_passes(assignment, k):
-            return assignment
+    for coll in chain_candidates(k):
+        if assignment_passes(coll):
+            return coll
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 
 def search_base_collection() -> ChainCollection:
-    """Search deficits 0 through BASE_K_MAX, each from nothing."""
-    chains: dict[Partition, Chain] = {}
-    pairing: dict[Partition, Partition] = {}
-    for k in range(BASE_K_MAX + 1):
-        got, pair_k = search_chains(k)
-        chains.update(got)
-        pairing.update(pair_k)
-    return ChainCollection(chains, pairing, BASE_K_MAX)
+    """The union of the searches at deficits 0 through BASE_K_MAX, each from nothing."""
+    found = [search_chains(k) for k in range(BASE_K_MAX + 1)]
+    chains = {mu: c for f in found for mu, c in f.chains.items()}
+    return ChainCollection(chains, {mu: f.pairing[mu] for f in found for mu in f.chains}, BASE_K_MAX)
 
 
 # ------------------------------------------------------------- serialization
@@ -267,17 +268,24 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
                 rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
             except RuntimeError as e:
                 rows.append((name, CheckResult("opposite", False, str(e))))
-    by_k: dict[int, dict[Partition, Chain]] = {}
+    by_k: dict[int, dict[Partition, Chain]] = {k: {} for k in range(min(coll.k_max, BASE_K_MAX) + 1)}
     for mu in coll.members():
         by_k.setdefault(sum(mu), {})[mu] = coll.chains[mu]
     for k, group in sorted(by_k.items()):
-        clash = _first_clash(group, coverage_bound(k) + 10)
-        rows.append((f"deficit {k}", CheckResult("disjoint", not clash, clash)))
+        fault = _disjoint_fault(group, k)
+        rows.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
     return rows
 
 
-def _first_clash(chains: dict[Partition, Chain], d_hi: int) -> str:
-    """The first class two chains share up to dinv d_hi, or the first walk error; "" if none."""
+def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:
+    """The first class two deficit-k chains share up to dinv d_hi, or the first walk
+    error; then, at a base deficit, the first dinv where the chains miss a class; "" if none.
+
+    The deficit-k classes at dinv d number count_partitions_max(k, d), so
+    for k <= BASE_K_MAX the chains must be a disjoint union of all of them
+    through d_hi = coverage_bound(k) + 10.
+    """
+    d_hi = coverage_bound(k) + 10
     owner: dict[Vector, Partition] = {}
     for mu, chain in chains.items():
         try:
@@ -287,6 +295,11 @@ def _first_clash(chains: dict[Partition, Chain], d_hi: int) -> str:
         for c in els:
             if owner.setdefault(c, mu) != mu:
                 return f"{format_vector(c)} in {format_partition(owner[c])} and {format_partition(mu)}"
+    if k <= BASE_K_MAX:
+        held = Counter(dinv(c) for c in owner)
+        for d in range(d_hi + 1):
+            if held[d] != count_partitions_max(k, d):
+                return f"chains hold {held[d]} of the {count_partitions_max(k, d)} classes at dinv {d}"
     return ""
 
 
@@ -313,14 +326,14 @@ class BuildContext:
 def build_context(coll: ChainCollection, mu: Partition) -> BuildContext:
     """Resolve the partner and stage data for a template-based pair."""
     mu = tuple(mu)
-    v = ti2(mu)
-    match = template_match(v)
+    match = phi(mu)
     if match is None:
         raise ValueError(f"{format_partition(mu)} has no template base")
     lam = match[0]
     lam_star = coll.pairing.get(lam)
     if lam_star is None:
         raise ValueError(f"no chain pair for the flag type {format_partition(lam)}")
+    v = ti2(mu)
     mu_star = psi_inv(lam_star, len(v), area(v) % 2)
     v_star = ti2(mu_star)
     k = sum(mu)
@@ -386,8 +399,11 @@ def build_flagpole_pair(coll: ChainCollection, ctx: BuildContext) -> dict[Partit
     return {side.mu: _assemble(coll, side) for side in sides}
 
 
-def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> ChainCollection:
-    """Grow the collection deficit by deficit through template-based pairs.
+def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCollection:
+    """The chains of deficit at most k, grown deficit by deficit through template-based pairs.
+
+    At or below coll.k_max this keeps only the chains of deficit at most k;
+    the pairing preserves size, so the kept pairing is an involution.
 
     Mode "flagpole" uses the closed eligibility test; "generalized" the
     length test against the current pairing.  Every assembled pair is
@@ -399,16 +415,16 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
     """
     if mode not in ("flagpole", "generalized"):
         raise ValueError(f"unknown mode {mode!r}")
-    if k_max > coll.k_max and coll.k_max < BASE_K_MAX:
+    if k > coll.k_max and coll.k_max < BASE_K_MAX:
         raise ValueError(
             f"extend_all needs a collection through deficit {BASE_K_MAX}, "
             f"this one stops at {coll.k_max}"
         )
-    chains = dict(coll.chains)
-    pairing = dict(coll.pairing)
-    for k in range(coll.k_max + 1, k_max + 1):
-        cur = ChainCollection(chains, pairing, k - 1)
-        for mu in list(partitions_of(k))[::-1]:
+    chains = {mu: c for mu, c in coll.chains.items() if sum(mu) <= k}
+    pairing = {mu: coll.pairing[mu] for mu in chains}
+    for d in range(coll.k_max + 1, k + 1):
+        cur = ChainCollection(chains, pairing, d - 1)
+        for mu in list(partitions_of(d))[::-1]:
             if mu in chains:
                 continue
             if mode == "flagpole":
@@ -423,7 +439,7 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
             if not needed_partitions(ctx) <= set(chains):
                 continue
             built = build_flagpole_pair(cur, ctx)
-            bad = [r for _, r in check_pair(built[ctx.mu], built[ctx.mu_star], k) if not r.ok]
+            bad = [r for _, r in check_pair(built[ctx.mu], built[ctx.mu_star], d) if not r.ok]
             if bad:
                 raise RuntimeError(
                     f"assembled pair for {format_partition(mu)} fails "
@@ -432,4 +448,4 @@ def extend_all(coll: ChainCollection, k_max: int, mode: str = "flagpole") -> Cha
             chains.update(built)
             pairing[ctx.mu] = ctx.mu_star
             pairing[ctx.mu_star] = ctx.mu
-    return ChainCollection(chains, pairing, k_max)
+    return ChainCollection(chains, pairing, k)

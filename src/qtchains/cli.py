@@ -28,7 +28,7 @@ from .verify import cat_n_mu, report_lines
 CATALAN_MAX = 24  # `catalan N` for the full polynomial
 TAIL_COUNT_MAX = 40_000  # `tail --count`
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
-BUILD_MAX = 24  # `build K`
+BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
 OPPOSITE_MAX = 40  # `verify --opposite N`, on a deficit-16 collection
 
 
@@ -114,13 +114,8 @@ def _cmd_flagpole(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    coll = builder.seed_base_collection(force_search=args.force_search)
-    if args.k > coll.k_max:
-        coll = builder.extend_all(coll, args.k, mode=args.mode)
-    else:
-        # the pairing preserves size, so the trimmed pairing is an involution
-        keep = {mu: c for mu, c in coll.chains.items() if sum(mu) <= args.k}
-        coll = builder.ChainCollection(keep, {mu: coll.pairing[mu] for mu in keep}, args.k)
+    base = builder.seed_base_collection(force_search=args.force_search)
+    coll = builder.extend_all(base, args.k, mode=args.mode)
     builder.save_collection(coll, args.out)
     print(f"built {len(coll.chains)} chains to deficit {coll.k_max} -> {args.out}")
     return 0
@@ -156,9 +151,7 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
         print(cat_n(args.n))
         return 0
     mu = args.mu
-    coll = builder.seed_base_collection()
-    if sum(mu) > coll.k_max:
-        coll = builder.extend_all(coll, sum(mu), mode="flagpole")
+    coll = builder.extend_all(builder.seed_base_collection(), sum(mu))
     if mu not in coll.chains:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "n", type=_count_arg, help=f"path length, at most {CATALAN_MAX} without --mu"
     )
-    p.add_argument("--mu", type=_partition_arg, default=None)
+    p.add_argument("--mu", type=_partition_arg, default=None, help=f"|MU| at most {BUILD_MAX}")
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("absorb", help="orbit absorption counts below the coverage bound")
@@ -272,6 +265,8 @@ def run(argv: list[str] | None = None) -> int:
         ap.error(f"{args.command}: STOP {args.stop} is below START {args.start}")
     if args.command == "catalan" and args.mu is None and args.n > CATALAN_MAX:
         ap.error(f"catalan: N {args.n} is above the limit {CATALAN_MAX} for the full polynomial")
+    if args.command == "catalan" and args.mu is not None and sum(args.mu) > BUILD_MAX:
+        ap.error(f"catalan: |MU| {sum(args.mu)} is above the limit {BUILD_MAX} for --mu")
     return args.func(args)
 
 

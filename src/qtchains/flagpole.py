@@ -10,8 +10,8 @@ dinv parity) both determine mu, giving two invertible encodings.
 from __future__ import annotations
 
 from .dyck import Vector, dinv
-from .partitions import Partition, count_partitions, partitions_of
-from .tails import b_word, partition_from_b_word, s_vectors, ti2
+from .partitions import Partition, count_partitions, partition_from_multiplicities, partitions_of
+from .tails import b_word, s_vectors, template_parse, ti2
 
 
 def v_template(lam: Partition, a: int, eps: int) -> Vector:
@@ -25,29 +25,18 @@ def v_template(lam: Partition, a: int, eps: int) -> Vector:
 
 
 def template_match(v: Vector) -> tuple[Partition, int, int] | None:
-    """Recover (lam, a, eps) from a template vector, or None when v is not one."""
-    v = tuple(v)
-    if len(v) < 3 or v[:3] != (0, 0, 1):
+    """Recover (lam, a, eps) from a template vector, or None when v is not one.
+
+    template_parse reads the runs 2^m_0, 2^n_1, ..., 2^n_r; the rest after
+    the last 2 is () for eps 0 and (1,) for eps 1, and a = m_0 + eps.
+    """
+    try:
+        runs, rest = template_parse(tuple(v))
+    except ValueError:
         return None
-    m = 0
-    while 3 + m < len(v) and v[3 + m] == 2:
-        m += 1
-    rest = v[3 + m :]
-    if not rest:
-        lam: Partition | None = ()
-        a, eps = m, 0
-    elif rest[-1] == 2:
-        lam = partition_from_b_word(tuple(x - 1 for x in rest))
-        a, eps = m, 0
-    elif rest[-1] == 1:
-        body = rest[:-1]
-        lam = partition_from_b_word(tuple(x - 1 for x in body)) if body else ()
-        a, eps = m + 1, 1
-    else:
+    if rest not in ((), (1,)) or runs[0] + len(rest) < 2:
         return None
-    if lam is None or a < 2:
-        return None
-    return lam, a, eps
+    return partition_from_multiplicities(runs[1:]), runs[0] + len(rest), len(rest)
 
 
 def a_floor(lam: Partition) -> int:
@@ -113,25 +102,17 @@ def count_flagpole_bruteforce(n: int) -> int:
 # ------------------------------------------------------- generalized variant
 
 def is_generalized_flagpole(mu: Partition, involution: dict[Partition, Partition]) -> bool:
-    """Template base with enough length for the flag type and its partner.
+    """Template base with enough length for the partner of its flag type.
 
-    Needs the flag type lam inside the involution's domain; the length must
-    be at least 5 plus largest part plus number of parts, for both lam and
-    its partner.
+    Needs the flag type lam inside the involution's domain; the base length
+    must be at least 5 plus largest part plus number of parts of lam's
+    partner.  For lam itself the template's a >= 2 already gives that.
     """
-    t = ti2(mu)
-    m = template_match(t)
-    if m is None:
+    m = phi(mu)
+    if m is None or m[0] not in involution:
         return False
-    lam = m[0]
-    if lam not in involution:
-        return False
-    lam_star = involution[lam]
-    length = len(t)
-    for p in (lam, lam_star):
-        if length < 5 + (p[0] if p else 0) + len(p):
-            return False
-    return True
+    lam_star = involution[m[0]]
+    return len(ti2(mu)) >= 5 + (lam_star[0] if lam_star else 0) + len(lam_star)
 
 
 def gflag_lower_bound(k: int) -> int:

@@ -113,3 +113,8 @@ def multiplicities(p: Partition) -> tuple[int, ...]:
     for a in p:
         out[a - 1] += 1
     return tuple(out)
+
+
+def partition_from_multiplicities(ms: tuple[int, ...]) -> Partition:
+    """Inverse of multiplicities: ms[i - 1] parts equal to i, largest first."""
+    return tuple(i for i in range(len(ms), 0, -1) for _ in range(ms[i - 1]))

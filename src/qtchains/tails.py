@@ -15,7 +15,9 @@ from math import comb
 from typing import Iterator
 
 from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
-from .partitions import Partition, count_partitions_max, multiplicities, partitions_of
+from .partitions import (
+    Partition, count_partitions_max, multiplicities, partition_from_multiplicities, partitions_of
+)
 from .steps import nd1_partition, nd2, nu1_partition, nu2
 
 
@@ -32,20 +34,10 @@ def partition_from_b_word(b: Vector) -> Partition | None:
     """Invert b_word, or None when b is not such a word."""
     if not b:
         return ()
-    if b[0] != 0 or b[-1] != 1:
+    if b[0] != 0 or b[-1] != 1 or any(x not in (0, 1) for x in b):
         return None
-    groups: list[int] = []
-    for x in b:
-        if x == 0:
-            groups.append(0)
-        elif x == 1:
-            groups[-1] += 1
-        else:
-            return None
-    parts: list[int] = []
-    for i, m in enumerate(groups, start=1):
-        parts.extend([i] * m)
-    return tuple(reversed(parts))
+    zeros = [i for i, x in enumerate(b) if x == 0] + [len(b)]
+    return partition_from_multiplicities(tuple(j - i - 1 for i, j in zip(zeros, zeros[1:])))
 
 
 def ti(mu: Partition) -> Vector:

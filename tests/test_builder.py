@@ -94,7 +94,7 @@ def test_one_candidate_passes_at_each_base_deficit():
     # with a single certified assignment per deficit, no candidate order can
     # change the base collection
     for k in range(BASE_K_MAX + 1):
-        passing = [a for a in chain_candidates(k) if assignment_passes(a, k)]
+        passing = [c for c in chain_candidates(k) if assignment_passes(c)]
         assert len(passing) == 1, k
 
 
@@ -103,6 +103,21 @@ def test_base_collection_validates(base_coll):
     bad = [(c, r) for c, r in rows if not r.ok]
     assert not bad
     assert len(rows) == 260
+
+
+def test_disjoint_row_checks_coverage(base_coll):
+    chains = {mu: c for mu, c in base_coll.chains.items() if mu != (5,)}
+    pairing = {mu: base_coll.pairing[mu] for mu in chains}
+    rows = validate_collection(ChainCollection(chains, pairing, 5))
+    bad = [(ctx, r) for ctx, r in rows if not r.ok]
+    assert bad == [
+        ("deficit 5", CheckResult("disjoint", False, "chains hold 0 of the 1 classes at dinv 1"))
+    ]
+
+
+def test_disjoint_row_for_a_base_deficit_without_chains():
+    rows = validate_collection(ChainCollection({}, {}, 1))
+    assert [ctx for ctx, r in rows if not r.ok] == ["deficit 0", "deficit 1"]
 
 
 def test_base_coverage(base_coll):
@@ -301,6 +316,19 @@ def test_extension_validates(coll12):
 def test_extend_is_stable_at_same_k(coll12):
     again = extend_all(coll12, 12)
     assert collection_payload(again) == collection_payload(coll12)
+
+
+def test_extend_below_k_max_cuts_the_collection(coll12, base_coll):
+    assert collection_payload(extend_all(coll12, 8)) == collection_payload(extend_all(base_coll, 8))
+
+
+def test_extend_below_the_base_saves_and_loads(tmp_path, base_coll):
+    cut = extend_all(base_coll, 3)
+    assert cut.k_max == 3
+    assert max(sum(mu) for mu in cut.chains) == 3
+    p = tmp_path / "cut.json"
+    save_collection(cut, p)
+    assert collection_payload(load_collection(p)) == collection_payload(cut)
 
 
 def test_generalized_mode_extends_flagpole(base_coll):

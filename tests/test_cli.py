@@ -220,12 +220,24 @@ def test_catalan_limit_is_in_the_help(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["catalan", "--help"])
     assert exc.value.code == 0
-    assert f"at most {cli.CATALAN_MAX} without --mu" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"at most {cli.CATALAN_MAX} without --mu" in out
+    assert f"|MU| at most {cli.BUILD_MAX}" in out
 
 
 def test_catalan_chain_share_has_no_limit(capsys):
     assert run(["catalan", str(cli.CATALAN_MAX + 6), "--mu", "1"]) == 0
     assert lines(capsys)[0].startswith("q^")
+
+
+def test_catalan_chain_share_above_the_build_limit_is_usage_error(capsys):
+    # the share needs the collection built to |MU|, so |MU| has the build limit
+    with pytest.raises(SystemExit) as exc:
+        run(["catalan", "3", "--mu", "7^4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"catalan: |MU| 28 is above the limit {cli.BUILD_MAX} for --mu" in captured.err
 
 
 def test_catalan_chain_share(capsys):
@@ -294,6 +306,30 @@ def test_verify_rejects_damage(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_missing_chain(tmp_path, capsys):
+    out = tmp_path / "c16.json"
+    assert run(["build", "16", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["chains"] = [r for r in payload["chains"] if r["mu"] != "5"]
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert lines(capsys) == [
+        "deficit 5: disjoint FAIL chains hold 0 of the 1 classes at dinv 1",
+        "3130/3131 checks passed",
+    ]
+
+
+def test_verify_rejects_an_empty_collection(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"format": 1, "k_max": 0, "chains": []}')
+    assert run(["verify", str(empty)]) == 1
+    assert lines(capsys) == [
+        "deficit 0: disjoint FAIL chains hold 0 of the 1 classes at dinv 0",
+        "0/1 checks passed",
+    ]
+
+
 def certified(**fields):
     """A deficit-0 record with the given fields changed, its certificate recomputed."""
     rec = {"mu": "0", "partner": "0", "start": 0, "generators": ["0"], **fields}
@@ -350,6 +386,19 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for line in commands:
         assert run(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_readme_python_block_runs():
+    """The python block under `## Library` in README.md runs, and the values
+    its comments state hold."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["c"] == (0, 1, 2, 2, 0, 1, 1)
+    assert (scope["dinv"](scope["c"]), scope["defc"](scope["c"])) == (10, 4)
+    assert scope["coll"].k_max == 12
 
 
 def declared_scripts():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from qtchains.flagpole import (
     v_template,
 )
 from qtchains.partitions import parse_partition, partitions_of
+from qtchains.tails import ti2
 
 from oracles import phi_inv_iterated
 
@@ -48,6 +50,27 @@ def test_template_match_round_trip():
     assert template_match((0, 1, 0, 1, 0, 1, 2)) is None
     assert template_match((0, 0, 1, 2, 1, 0)) is None
     assert template_match((0, 0, 1, 2)) is None
+
+
+def test_template_match_word_side_round_trip():
+    # every ternary word of length <= 12 opening 0 0 1; a reader that took
+    # any binary rest after the last 2 would fail on 3,204 of them
+    words = [(0, 0, 1) + w for n in range(10) for w in product((0, 1, 2), repeat=n)]
+    assert len(words) == 29_524
+    for w in words:
+        m = template_match(w)
+        assert m is None or v_template(*m) == w, w
+
+
+def test_template_length_bounds_the_flag_type():
+    # a >= 2 makes the base at least 5 + lam[0] + len(lam) long, the test
+    # is_generalized_flagpole leaves out for lam itself
+    for n in range(17):
+        for mu in partitions_of(n):
+            m = phi(mu)
+            if m is not None:
+                lam = m[0]
+                assert len(ti2(mu)) >= 5 + (lam[0] if lam else 0) + len(lam), mu
 
 
 def test_template_statistics():

@@ -13,7 +13,13 @@ from qtchains.dyck import (
     partition_from_class,
     reduce,
 )
-from qtchains.partitions import count_partitions_max, parse_partition, partitions_of
+from qtchains.partitions import (
+    count_partitions_max,
+    multiplicities,
+    parse_partition,
+    partition_from_multiplicities,
+    partitions_of,
+)
 from qtchains.tails import (
     TailLocator,
     absorption_counts,
@@ -91,7 +97,15 @@ def test_b_word_round_trip():
         for mu in partitions_of(n):
             assert partition_from_b_word(b_word(mu)) == mu
     assert partition_from_b_word((1, 0)) is None
+    assert partition_from_b_word((0, 1, 2, 1)) is None
     assert partition_from_b_word(()) == ()
+
+
+def test_multiplicities_round_trip():
+    for n in range(10):
+        for mu in partitions_of(n):
+            assert partition_from_multiplicities(multiplicities(mu)) == mu
+    assert partition_from_multiplicities((0, 2, 0, 1)) == (4, 2, 2)
 
 
 def test_base_statistics():
