@@ -26,6 +26,7 @@ from .dyck import (
     enumerate_deficit,
     format_vector,
     parse_vector,
+    partition_dinv,
     partition_from_class,
     qdv_from_partition,
     reduce,
@@ -283,20 +284,22 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:
 
     The deficit-k classes at dinv d number count_partitions_max(k, d), so
     for k <= BASE_K_MAX the chains must be a disjoint union of all of them
-    through d_hi = coverage_bound(k) + 10.
+    through d_hi = coverage_bound(k) + 10.  Classes are keyed and counted
+    by their partitions.
     """
     d_hi = coverage_bound(k) + 10
-    owner: dict[Vector, Partition] = {}
+    owner: dict[Partition, Partition] = {}
     for mu, chain in chains.items():
         try:
-            els = chain.elements_upto(d_hi)
+            parts = chain.partitions_upto(d_hi)
         except RuntimeError as e:
             return str(e)
-        for c in els:
-            if owner.setdefault(c, mu) != mu:
-                return f"{format_vector(c)} in {format_partition(owner[c])} and {format_partition(mu)}"
+        for p in parts:
+            if owner.setdefault(p, mu) != mu:
+                c = format_vector(class_from_partition(p))
+                return f"{c} in {format_partition(owner[p])} and {format_partition(mu)}"
     if k <= BASE_K_MAX:
-        held = Counter(dinv(c) for c in owner)
+        held = Counter(map(partition_dinv, owner))
         for d in range(d_hi + 1):
             if held[d] != count_partitions_max(k, d):
                 return f"chains hold {held[d]} of the {count_partitions_max(k, d)} classes at dinv {d}"
@@ -366,7 +369,7 @@ def needed_partitions(ctx: BuildContext) -> set[Partition]:
 
 def _lifted_element(chain: Chain, d: int, length: int) -> Vector:
     """The chain element at dinv d, re-expressed at length - 2 and lifted by 0,0."""
-    z = qdv_from_partition(partition_from_class(chain.element(d)), length - 2)
+    z = qdv_from_partition(chain.partition(d), length - 2)
     if min(z) < 0:
         raise RuntimeError("class does not fit at the requested length")
     return (0, 0) + tuple(x + 1 for x in z)

@@ -103,6 +103,31 @@ def mind(p: Partition) -> int:
     return max(len(p) + 1, max(map(add, p, range(1, len(p) + 1))))
 
 
+def partition_dinv(p: Partition) -> int:
+    """Dinv of the class of p, read off p without building a vector.
+
+    The class's vector of length len(p) + p[0] + 1 is 0, 1, ..., p[0] and
+    then p[0] + 1 + m - p[len(p) - 1 - m] for each m below len(p).  No pair
+    inside the leading run counts, so it is entered all at once and only the
+    later entries are walked.
+    """
+    top = p[0] if p else 0
+    seen = [1] * (top + 1) + [0] * (len(p) + 1)  # seen[x]: earlier entries equal to x
+    total = 0
+    for x in map(sub, range(top + 1, top + 1 + len(p)), reversed(p)):
+        total += seen[x] + seen[x + 1]
+        seen[x] += 1
+    return total
+
+
+def starts_00(p: Partition, n: int) -> bool:
+    """True when the length-n vector of the class of p is (0,) or starts 0 0.
+
+    That vector's second entry is 1 - p[-1] at n = len(p) + 1 and 1 above it.
+    """
+    return n == len(p) + 1 and p[-1:] in ((), (1,))
+
+
 def qdv_from_partition(p: Partition, n: int) -> Vector:
     """Length-n vector of the class of p; needs n above the number of parts."""
     if n < len(p) + 1:

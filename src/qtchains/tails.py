@@ -18,7 +18,7 @@ from .dyck import Vector, class_from_partition, dinv, partition_from_class, redu
 from .partitions import (
     Partition, count_partitions_max, multiplicities, partition_from_multiplicities, partitions_of
 )
-from .steps import nd1_partition, nd2, nu1_partition, nu2
+from .steps import nd1_partition, nd2_partition, nu1_partition, nu2_partition
 
 
 def b_word(mu: Partition) -> Vector:
@@ -196,35 +196,33 @@ def absorption_counts(k: int) -> tuple[int, int]:
 def ti2(mu: Partition) -> Vector:
     """Base class of the extended orbit: iterate the predecessor map to a fixpoint.
 
-    First-order steps run on partitions; the class is built only where the
-    second-order step has to be tried.
+    Both steps run on partitions; the class is built only for the result.
     """
     p = partition_from_class(ti(mu))
     while True:
         q = nd1_partition(p)
         if q is None:
-            c = class_from_partition(p)
-            prev = nd2(c)
-            if prev is None:
-                return c
-            q = partition_from_class(prev)
+            q = nd2_partition(p)
+            if q is None:
+                return class_from_partition(p)
         p = q
 
 
-def tail2_iter(mu: Partition) -> Iterator[Vector]:
-    """The combined-map orbit from the second base class of mu."""
-    c = ti2(mu)
-    p = partition_from_class(c)
+def tail2_iter(mu: Partition) -> Iterator[Partition]:
+    """Partitions of the combined-map orbit from the second base class of mu.
+
+    Both steps run on partitions; the second-order step rewrites one
+    representative vector of the class.
+    """
+    p = partition_from_class(ti2(mu))
     while True:
-        yield c
+        yield p
         q = nu1_partition(p)
         if q is None:
-            nxt = nu2(c)
-            if nxt is None:
-                raise RuntimeError(f"extended orbit of {mu} stopped at {c}")
-            c, p = nxt, partition_from_class(nxt)
-        else:
-            c, p = class_from_partition(q), q
+            q = nu2_partition(p)
+            if q is None:
+                raise RuntimeError(f"extended orbit of {mu} stopped at {class_from_partition(p)}")
+        p = q
 
 
 # ------------------------------------- closed forms for the extended orbit

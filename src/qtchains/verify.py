@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from itertools import count
 from math import comb
 
-from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
+from .dyck import (
+    Vector, class_from_partition, dinv, mind, partition_dinv, partition_from_class, starts_00
+)
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial
 from .steps import nu1_partition
@@ -23,7 +25,12 @@ from .tails import staircase_profile, tail2_iter, ti, ti2, ti_dinv, ti_mind
 class Chain:
     """Lazy materialization of a chain from its segment initial points.
 
-    The segments are walked once, in order, into one list that only grows.
+    The segments are walked once, in order, into one list of partitions
+    that only grows; a class vector is built only when element or
+    elements_upto asks for one.  A stored generator that is not the reduced
+    vector of its class walks as that class: basic-a fails at its slot with
+    the stored vector as witness, basic-d compares the stored last
+    generator, and every other clause reads the classes.
     """
 
     def __init__(self, mu: Partition, start_dinv: int, generators: list[Vector]):
@@ -32,9 +39,8 @@ class Chain:
         self.mu = tuple(mu)
         self.start_dinv = start_dinv
         self.generators = [tuple(g) for g in generators]
-        self._elements: list[Vector] = []
-        self._segment = -1  # index of the generator whose segment holds the last element
-        self._part: Partition = ()  # partition of the last element's class
+        self._parts: list[Partition] = []  # partitions of the elements' classes
+        self._starts: list[int] = []  # index of the first element of each segment walked
 
     def __repr__(self) -> str:
         return f"Chain({format_partition(self.mu)}, start={self.start_dinv})"
@@ -48,43 +54,52 @@ class Chain:
         still running there, or a final segment that stops, raises
         RuntimeError.
         """
-        els = self._elements
-        if len(els) >= need:
+        parts = self._parts
+        if len(parts) >= need:
             return
         last = len(self.generators) - 1
         base_slot = ti_dinv(self.mu) - self.start_dinv
-        while len(els) < need:
-            p = nu1_partition(self._part) if els else None
-            seg = self._segment
+        while len(parts) < need:
+            p = nu1_partition(parts[-1]) if parts else None
+            seg = len(self._starts) - 1
             if p is None:
                 if seg == last:
                     raise RuntimeError(f"final segment of {self} stopped")
                 seg += 1
-                c = self.generators[seg]
-                p = partition_from_class(c)
-            else:
-                c = class_from_partition(p)
-            if seg < last and len(els) >= base_slot:
+                p = partition_from_class(self.generators[seg])
+            if seg < last and len(parts) >= base_slot:
                 raise RuntimeError(
                     f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
                 )
-            els.append(c)
-            self._segment = seg
-            self._part = p
+            if seg == len(self._starts):
+                self._starts.append(len(parts))
+            parts.append(p)
 
-    def elements_upto(self, d: int) -> list[Vector]:
-        """Chain elements from start_dinv through dinv d, in order."""
+    def partitions_upto(self, d: int) -> list[Partition]:
+        """Partitions of the chain elements from start_dinv through dinv d, in order."""
         need = d - self.start_dinv + 1
         self._grow(need)
-        return self._elements[:max(need, 0)]
+        return self._parts[:max(need, 0)]
 
-    def element(self, d: int) -> Vector:
-        """The chain element with dinv d."""
+    def partition(self, d: int) -> Partition:
+        """Partition of the chain element with dinv d."""
         if d < self.start_dinv:
             raise IndexError(f"{self} starts at {self.start_dinv}, asked for {d}")
         i = d - self.start_dinv
         self._grow(i + 1)
-        return self._elements[i]
+        return self._parts[i]
+
+    def elements_upto(self, d: int) -> list[Vector]:
+        """Chain elements from start_dinv through dinv d, in order."""
+        return [class_from_partition(p) for p in self.partitions_upto(d)]
+
+    def element(self, d: int) -> Vector:
+        """The chain element with dinv d."""
+        return class_from_partition(self.partition(d))
+
+    def stored_generators(self) -> dict[int, Vector]:
+        """The stored generator of each segment walked so far, by its element's index."""
+        return dict(zip(self._starts, self.generators))
 
     def amh_horizon(self) -> int:
         return ti_dinv(self.mu) + ti_mind(self.mu) + 1
@@ -147,19 +162,21 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
 
     The chain's basic, local and extra rows come first, then the partner's
     when it is a different chain, then the pair's amh rows under the
-    chain's name.  Each chain is materialized through its amh horizon
-    once; a chain that cannot be gives a single failing basic-a row.
+    chain's name.  Each chain is walked through its amh horizon once, on
+    partitions, and its length profile is their mind; a chain that cannot
+    be walked gives a single failing basic-a row.  Class vectors are built
+    only for witnesses.
     """
     sides = [chain] if partner.mu == chain.mu else [chain, partner]
-    els: list[list[Vector]] = []
+    parts: list[list[Partition]] = []
     profs: list[list[int]] = []
     amh: list[AmhVectors] = []
     for c in sides:
         try:
-            els.append(c.elements_upto(c.amh_horizon()))
+            parts.append(c.partitions_upto(c.amh_horizon()))
         except RuntimeError as e:
             return [(format_partition(c.mu), _res("basic-a", False, str(e)))]
-        profs.append([len(x) for x in els[-1]])
+        profs.append([mind(p) for p in parts[-1]])
         amh.append(amh_vectors(c.start_dinv, profs[-1]))
     if len(sides) == 1:
         basic_e = _res(
@@ -168,44 +185,53 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
             "self-paired chain differs from partner",
         )
     else:
-        shared = set(els[0]) & set(els[1])
-        basic_e = _res("basic-e", not shared, f"shared classes {sorted(shared)[:3]}")
+        shared = set(parts[0]) & set(parts[1])
+        basic_e = _res(
+            "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
+        )
     rows: list[tuple[str, CheckResult]] = []
-    for c, other, c_els, prof, c_amh in zip(sides, (partner, chain), els, profs, amh):
+    for c, other, c_parts, prof, c_amh in zip(sides, (partner, chain), parts, profs, amh):
         results = (
-            check_basic(c, other, c_els)
+            check_basic(c, other, c_parts, prof)
             + [basic_e]
             + check_local(c, prof, c_amh)
-            + check_extra(c, c_els, prof, c_amh)
+            + check_extra(c, c_parts, prof, c_amh)
         )
         rows += [(format_partition(c.mu), r) for r in results]
     name = format_partition(chain.mu)
     return rows + [(name, r) for r in check_amh(amh[0], amh[-1], k)]
 
 
-def check_basic(chain: Chain, partner: Chain, els: list[Vector]) -> list[CheckResult]:
+def check_basic(
+    chain: Chain, partner: Chain, parts: list[Partition], prof: list[int]
+) -> list[CheckResult]:
     """Deficit and dinv bookkeeping, start positions and ending orbit.
 
-    els holds the chain's elements through its amh horizon.
+    parts holds the partitions of the chain's elements through its amh
+    horizon and prof their mind.  An element's dinv is read off its
+    partition and its deficit is |p| - dinv; a stored generator must be
+    the reduced vector of its class, of length mind(p).
     """
     mu = chain.mu
     k = sum(mu)
+    gens = chain.stored_generators()
     bad = [
-        (i, c)
-        for i, c in enumerate(els)
-        if (dv := dinv(c)) != chain.start_dinv + i
-        or comb(len(c), 2) - sum(c) - dv != k
-        or reduce(c) != c
+        i
+        for i, p in enumerate(parts)
+        if (dv := partition_dinv(p)) != chain.start_dinv + i
+        or sum(p) - dv != k
+        or i in gens and len(gens[i]) != prof[i]
     ]
     return [
         _res(
             "basic-a",
             not bad,
-            bad and f"element {bad[0][1]} at slot {chain.start_dinv + bad[0][0]}" or "",
+            bad and f"element {gens.get(bad[0]) or class_from_partition(parts[bad[0]])} "
+            f"at slot {chain.start_dinv + bad[0]}" or "",
         ),
         _res(
             "basic-b",
-            len(set(els)) == len(els),
+            len(set(parts)) == len(parts),
             f"repeated element in chain for {format_partition(mu)}",
         ),
         _res(
@@ -250,7 +276,7 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
 
 
 def check_extra(
-    chain: Chain, els: list[Vector], prof: list[int], amh: AmhVectors
+    chain: Chain, parts: list[Partition], prof: list[int], amh: AmhVectors
 ) -> list[CheckResult]:
     """Valley shape, run height bounds, drop criterion, extended orbit containment."""
     out: list[CheckResult] = []
@@ -279,27 +305,25 @@ def check_extra(
 
     ok = True
     witness = ""
-    for i in range(len(els) - 1):
-        drop_next = len(els[i]) < len(els[i + 1])
-        starts_00 = els[i] == (0,) or els[i][:2] == (0, 0)
-        if drop_next != starts_00:
+    for i in range(len(parts) - 1):
+        if (prof[i] < prof[i + 1]) != starts_00(parts[i], prof[i]):
             ok = False
-            witness = f"element {els[i]} at {chain.start_dinv + i}"
+            witness = f"element {class_from_partition(parts[i])} at {chain.start_dinv + i}"
             break
     out.append(_res("extra-c", ok, witness))
 
     ok = True
     witness = ""
     d2 = dinv(ti2(chain.mu))
-    base = ti(chain.mu)
+    base = partition_from_class(ti(chain.mu))
     if d2 < chain.start_dinv:
         ok = False
         witness = f"extended orbit starts at {d2}, below the chain"
     else:
-        for off, cls in enumerate(tail2_iter(chain.mu)):
-            if cls == base:
+        for off, p in enumerate(tail2_iter(chain.mu)):
+            if p == base:
                 break
-            if chain.element(d2 + off) != cls:
+            if parts[d2 + off - chain.start_dinv] != p:
                 ok = False
                 witness = f"extended orbit departs from the chain at dinv {d2 + off}"
                 break
@@ -333,7 +357,7 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
 # ---------------------------------------------------------------- path sums
 
 def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
-    """(dinv, reduced length) of each chain element, in order.
+    """(dinv, reduced length) of each chain element, in order, read off its partition.
 
     Stops before the first element at or past the base dinv that is longer
     than n_max: the final orbit's reduced lengths never come back down.
@@ -341,7 +365,7 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
     base_dinv = ti_dinv(chain.mu)
     out = []
     for d in count(chain.start_dinv):
-        ln = len(chain.element(d))
+        ln = mind(chain.partition(d))
         if ln > n_max and d >= base_dinv:
             return out
         out.append((d, ln))

@@ -53,6 +53,14 @@ def dinv_extended(v: Vector) -> int:
     return total
 
 
+def partition_dinv_by_cells(p: Partition) -> int:
+    """Dinv as the cells of p whose arm exceeds their leg by 0 or 1."""
+    conj = [sum(1 for a in p if a > j) for j in range(p[0] if p else 0)]
+    return sum(
+        (p[i] - 1 - j) - (conj[j] - 1 - i) in (0, 1) for i in range(len(p)) for j in range(p[i])
+    )
+
+
 def defc_pairs(v: Vector) -> int:
     """Count the deficit pairs of a nonnegative vector directly.
 

@@ -330,6 +330,25 @@ def test_verify_rejects_an_empty_collection(tmp_path, capsys):
     ]
 
 
+def test_verify_fails_an_unreduced_generator(tmp_path, capsys):
+    """A generator stored as a longer vector of its class loads and fails basic-a,
+    with the stored vector as witness; every other row reads the class."""
+    out = tmp_path / "c6.json"
+    assert run(["build", "6", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    rec = next(r for r in payload["chains"] if r["mu"] == "1^4")
+    assert rec["generators"][1] == "001221"
+    rec["generators"][1] = "0112332"
+    rec["certificate"] = _certificate(rec)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert lines(capsys) == [
+        "1^4: basic-a FAIL element (0, 1, 1, 2, 3, 3, 2) at slot 5",
+        "313/314 checks passed",
+    ]
+
+
 def certified(**fields):
     """A deficit-0 record with the given fields changed, its certificate recomputed."""
     rec = {"mu": "0", "partner": "0", "start": 0, "generators": ["0"], **fields}

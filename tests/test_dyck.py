@@ -14,11 +14,13 @@ from qtchains.dyck import (
     lift,
     mind,
     parse_vector,
+    partition_dinv,
     partition_from_class,
     qdv_from_partition,
     reduce,
+    starts_00,
 )
-from qtchains.partitions import format_partition, parse_partition
+from qtchains.partitions import format_partition, parse_partition, partitions_of
 from oracles import (
     classify_vector,
     deficit_classes_bruteforce,
@@ -26,6 +28,7 @@ from oracles import (
     dinv_extended,
     dyck_vectors,
     is_reduced,
+    partition_dinv_by_cells,
     unlift,
 )
 
@@ -135,6 +138,23 @@ def test_mind_values():
     assert mind((1,)) == 2
     assert mind((5, 4, 4, 1)) == 7
     assert mind((2, 1, 1, 1)) == 5
+
+
+def test_partition_statistics_match_class_vectors():
+    """dinv, mind and a leading 0 0 read off the partition agree with the vectors,
+    and dinv with the cell count of arm - leg in {0, 1}."""
+    count = 0
+    for size in range(21):
+        for p in partitions_of(size):
+            v = class_from_partition(p)
+            assert partition_dinv(p) == dinv(v) == partition_dinv_by_cells(p), p
+            assert mind(p) == len(v), p
+            assert starts_00(p, mind(p)) == (v == (0,) or v[:2] == (0, 0)), p
+            for n in range(len(p) + 1, len(v) + 3):
+                w = qdv_from_partition(p, n)
+                assert starts_00(p, n) == (w == (0,) or w[:2] == (0, 0)), (p, n)
+            count += 1
+    assert count == 2714
 
 
 @pytest.mark.parametrize("n,q", [(0, 0), (1, 0), (0, 1), (2, 3), (4, 1), (3, 2)])

@@ -96,18 +96,18 @@ def test_binary_append_law():
 # ---------------------------------------------------------- second-order step
 
 def test_special_representatives():
-    assert rep_ending_minus_one((0, 1, 2, 3, 3, 0, 0)) == (0, 1, 2, 2, -1, -1)
-    assert rep_ending_minus_one((0, 0, 1)) is None
-    assert rep_starting_00((0, 1, 1, 2, 0, 1)) == (0, 0, 1, -1, 0)
-    assert rep_starting_00((0, 1, 0)) is None
+    assert rep_ending_minus_one(partition_from_class((0, 1, 2, 3, 3, 0, 0))) == (0, 1, 2, 2, -1, -1)
+    assert rep_ending_minus_one(partition_from_class((0, 0, 1))) is None
+    assert rep_starting_00(partition_from_class((0, 1, 1, 2, 0, 1))) == (0, 0, 1, -1, 0)
+    assert rep_starting_00(partition_from_class((0, 1, 0))) is None
 
 
 def test_special_representatives_match_unlift_walk():
     for size in range(21):
         for p in partitions_of(size):
             c = class_from_partition(p)
-            assert rep_ending_minus_one(c) == rep_ending_minus_one_by_unlift(c), p
-            assert rep_starting_00(c) == rep_starting_00_by_unlift(c), p
+            assert rep_ending_minus_one(p) == rep_ending_minus_one_by_unlift(c), p
+            assert rep_starting_00(p) == rep_starting_00_by_unlift(c), p
 
 
 def test_nu2_rule_goldens():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from qtchains.dyck import (
+    class_from_partition,
     defc,
     dinv,
     enumerate_deficit,
@@ -209,15 +210,20 @@ def test_extended_base_matches_class_walk():
             assert ti2(mu) == ti2_by_nd(mu), mu
 
 
+def tail2_classes(mu, count: int) -> list:
+    """The first count classes of the extended orbit; tail2_iter yields partitions."""
+    return [class_from_partition(p) for p in islice(tail2_iter(mu), count)]
+
+
 def test_extended_orbit_matches_class_walk():
     for n in range(13):
         for mu in partitions_of(n):
-            assert list(islice(tail2_iter(mu), 60)) == tail2_by_nu(mu, 60), mu
+            assert tail2_classes(mu, 60) == tail2_by_nu(mu, 60), mu
 
 
 def test_extended_orbit_walk():
     walk = ["001222", "0123330", "001211", "0123220", "001101"]
-    got = list(islice(tail2_iter((2, 1, 1)), 5))
+    got = tail2_classes((2, 1, 1), 5)
     assert got == [parse_vector(w) for w in walk]
     assert [dinv(v) for v in got] == [4, 5, 6, 7, 8]
 
@@ -227,7 +233,7 @@ def test_extended_orbit_reaches_first_order_base():
         for mu in partitions_of(n):
             base = ti(mu)
             seen = False
-            for v in islice(tail2_iter(mu), 40):
+            for v in tail2_classes(mu, 40):
                 if v == base:
                     seen = True
                     break
@@ -237,7 +243,7 @@ def test_extended_orbit_reaches_first_order_base():
 def test_locate_in_tail2_members():
     for n in range(5):
         for mu in partitions_of(n):
-            for v in islice(tail2_iter(mu), 12):
+            for v in tail2_classes(mu, 12):
                 assert locate_in_tail2(v) == mu
 
 
@@ -306,7 +312,7 @@ def test_stage_vectors_match_orbit_walk(vec):
 def test_profile_matches_orbit_lengths():
     v = parse_vector("001222")
     summary = s_vectors(v)
-    lens = [len(w) for w in islice(tail2_iter((2, 1, 1)), 30)]
+    lens = [len(w) for w in tail2_classes((2, 1, 1), 30)]
     assert summary_profile(summary, 30) == lens
 
 

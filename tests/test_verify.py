@@ -1,9 +1,12 @@
+import hashlib
 from math import comb
 
 import pytest
 
-from qtchains.builder import ChainCollection, validate_collection
-from qtchains.dyck import dinv, parse_vector
+from qtchains import builder, verify
+from qtchains.builder import ChainCollection, _disjoint_fault, validate_collection
+from qtchains.dyck import dinv, lift, mind, parse_vector
+from qtchains.partitions import format_partition
 from qtchains.partitions import partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import nd
@@ -29,6 +32,12 @@ GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
 
 def chain15(gens: list = GENS15) -> Chain:
     return Chain((1, 1, 1, 1, 1), 5, gens)
+
+
+def basic(chain: Chain, partner: Chain, d: int) -> list[CheckResult]:
+    """check_basic on the chain's elements through dinv d."""
+    parts = chain.partitions_upto(d)
+    return check_basic(chain, partner, parts, [mind(p) for p in parts])
 
 
 def poly_from_profile(start: int, values: list[int], n: int, k: int) -> QtPolynomial:
@@ -118,24 +127,80 @@ def test_manual_chain_checks():
     assert all(line.endswith(" ok") for line in lines)
 
 
-def test_check_basic_looks_up_dinv_once_per_element():
+def test_check_basic_looks_up_dinv_once_per_element(monkeypatch):
+    """One partition dinv per element; no class vector and no class-side dinv."""
     c = chain15()
-    els = c.elements_upto(c.amh_horizon())
+    parts = c.partitions_upto(c.amh_horizon())
+    seen = []
+    real = verify.partition_dinv
+    monkeypatch.setattr(verify, "partition_dinv", lambda p: seen.append(p) or real(p))
+    monkeypatch.setattr(verify, "class_from_partition", no_class)
     before = dinv.cache_info()
-    assert all(r.ok for r in check_basic(c, c, els))
-    after = dinv.cache_info()
-    assert after.hits + after.misses - before.hits - before.misses == len(els)
+    assert all(r.ok for r in check_basic(c, c, parts, [mind(p) for p in parts]))
+    assert seen == parts
+    assert dinv.cache_info() == before
+
+
+def no_class(p):
+    raise AssertionError(f"class vector built for {p}")
+
+
+def test_checks_build_no_class_vectors_on_the_walk(monkeypatch, coll12):
+    """On a passing collection, check_pair and the disjoint rows walk and check
+    on partitions only; classes come only from second-order steps in tails."""
+    monkeypatch.setattr(verify, "class_from_partition", no_class)
+    monkeypatch.setattr(builder, "class_from_partition", no_class)
+    fresh = {mu: Chain(mu, c.start_dinv, c.generators) for mu, c in coll12.chains.items()}
+    rows = validate_collection(ChainCollection(fresh, coll12.pairing, 12))
+    assert len(rows) == 1259
+    assert all(r.ok for _, r in rows)
+
+
+def test_unreduced_generator_fails_basic_a(coll12):
+    """A stored generator replaced by its lift walks as its class: basic-a fails
+    at its slot with the stored vector as witness, basic-d when it is the last
+    generator, and every other row is the undamaged chain's."""
+    count = 0
+    for mu in coll12.members():
+        chain, star = coll12.chain(mu), coll12.partner(mu)
+        name = format_partition(mu)
+        want = check_pair(chain, chain if star == mu else coll12.chain(star), sum(mu))
+        for i, g in enumerate(chain.generators):
+            gens = list(chain.generators)
+            gens[i] = lift(g)
+            bad = Chain(mu, chain.start_dinv, gens)
+            expect = {
+                "basic-a": CheckResult("basic-a", False, f"element {lift(g)} at slot {dinv(g)}"),
+            }
+            if i == len(gens) - 1:
+                expect["basic-d"] = CheckResult(
+                    "basic-d", False, f"last generator {lift(g)} is not the base vector of {name}"
+                )
+            got = check_pair(bad, bad if star == mu else coll12.chain(star), sum(mu))
+            assert got == [
+                (ctx, expect.get(r.clause, r) if ctx == name else r) for ctx, r in want
+            ], (mu, i)
+            count += 1
+    assert count == 1037
 
 
 def test_basic_a_catches_wrong_deficit_and_dinv():
     # the elements of chain15 have deficit 5, not |31^4| = 7; their dinvs are right
     bad = Chain((3, 1, 1, 1, 1), 5, GENS15)
-    rows = check_basic(bad, bad, bad.elements_upto(11))
+    rows = basic(bad, bad, 11)
     assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 5")
     # right deficit, but every element sits one slot below its dinv
     bad = Chain((1, 1, 1, 1, 1), 4, GENS15)
-    rows = check_basic(bad, bad, bad.elements_upto(11))
+    rows = basic(bad, bad, 11)
     assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 4")
+
+
+def test_basic_b_catches_a_repeated_segment():
+    # segment 1 walks the classes of segment 0 again, two slots up
+    bad = chain15([GENS15[0]] + GENS15[:1] + GENS15[2:])
+    rows = basic(bad, bad, 11)
+    assert rows[1] == CheckResult("basic-b", False, "repeated element in chain for 1^5")
+    assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 7")
 
 
 def unmaterializable_fails(base_coll, bad: Chain, message: str) -> None:
@@ -167,6 +232,43 @@ def test_chain_with_endless_first_segment_fails(base_coll):
 def test_chain_without_base_generator_fails(base_coll):
     bad = chain15(GENS15[:-1])
     unmaterializable_fails(base_coll, bad, "final segment of Chain(1^5, start=5) stopped")
+
+
+# rows and disjoint witnesses of every drop/duplicate variant below, as the
+# class-vector chains reported them; the partition walk must not change a line
+DAMAGED_VARIANTS = 867
+DAMAGED_DIGEST = "5506fac25c22ca71ef85128623f12222309c1cf8321ad3da6f91d19ffe3e218f"
+
+
+def damaged_report(coll, k_max: int) -> list[str]:
+    """check_pair rows and the disjoint witness of each chain of deficit at most
+    k_max with one generator duplicated or, when it has several, dropped."""
+    out = []
+    for mu in coll.members():
+        k = sum(mu)
+        if k > k_max:
+            continue
+        chain, star = coll.chain(mu), coll.partner(mu)
+        gens = chain.generators
+        variants = [("dup", i, gens[: i + 1] + gens[i:]) for i in range(len(gens))]
+        if len(gens) > 1:
+            variants += [("drop", i, gens[:i] + gens[i + 1 :]) for i in range(len(gens))]
+        for op, i, new in variants:
+            bad = Chain(mu, chain.start_dinv, new)
+            group = {m: coll.chain(m) for m in coll.members() if sum(m) == k}
+            group[mu] = bad
+            rows = check_pair(bad, bad if star == mu else coll.chain(star), k)
+            out.append(f"{mu} {op} {i}")
+            out += [f"  {ctx}: {line}" for (ctx, _), line in zip(rows, report_lines([r for _, r in rows]))]
+            out.append(f"  disjoint: {_disjoint_fault(group, k)}")
+    return out
+
+
+def test_damaged_chains_keep_their_rows(coll12):
+    report = damaged_report(coll12, 10)
+    assert sum(not line.startswith(" ") for line in report) == DAMAGED_VARIANTS
+    assert any("FAIL" in line for line in report)
+    assert hashlib.sha256("\n".join(report).encode()).hexdigest() == DAMAGED_DIGEST
 
 
 def test_first_generator_has_no_predecessor():
