@@ -6,8 +6,7 @@ import pytest
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, validate_collection
 from qtchains.dyck import dinv, lift, mind, parse_vector
-from qtchains.partitions import format_partition
-from qtchains.partitions import partitions_of
+from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import nd
 from qtchains.tails import ti, ti_dinv
@@ -127,6 +126,10 @@ def test_manual_chain_checks():
     assert all(line.endswith(" ok") for line in lines)
 
 
+def no_class(p):
+    raise AssertionError(f"class vector built for {p}")
+
+
 def test_check_basic_looks_up_dinv_once_per_element(monkeypatch):
     """One partition dinv per element; no class vector and no class-side dinv."""
     c = chain15()
@@ -139,10 +142,6 @@ def test_check_basic_looks_up_dinv_once_per_element(monkeypatch):
     assert all(r.ok for r in check_basic(c, c, parts, [mind(p) for p in parts]))
     assert seen == parts
     assert dinv.cache_info() == before
-
-
-def no_class(p):
-    raise AssertionError(f"class vector built for {p}")
 
 
 def test_checks_build_no_class_vectors_on_the_walk(monkeypatch, coll12):
