@@ -29,13 +29,12 @@ from .dyck import (
     partition_dinv,
     partition_from_class,
     qdv_from_partition,
-    reduce,
 )
 from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv
 from .partitions import (
     Partition, count_partitions_max, format_partition, parse_partition, partitions_of
 )
-from .steps import is_nu1_initial, nu1_partition
+from .steps import nd1_partition, nu1_partition
 from .tails import (
     TailTwoSummary,
     coverage_bound,
@@ -127,10 +126,11 @@ def chain_candidates(k: int) -> Iterator[ChainCollection]:
     universe = enumerate_deficit(k, horizon)
     segments: list[Segment] = []
     for c in universe:
-        if c in bases or not is_nu1_initial(c):
+        p = partition_from_class(c)
+        if c in bases or nd1_partition(p) is not None:
             continue
         seg = [c]
-        p = nu1_partition(partition_from_class(c))
+        p = nu1_partition(p)
         while p is not None:
             seg.append(class_from_partition(p))
             p = nu1_partition(p)
@@ -219,6 +219,8 @@ def load_collection(path: str | Path) -> ChainCollection:
         raise ValueError(f"unsupported collection format {payload.get('format')!r}")
     if not isinstance(payload.get("chains"), list) or type(payload.get("k_max")) is not int:
         raise ValueError("a collection needs a list of chains and an integer k_max")
+    if payload["k_max"] < 0:
+        raise ValueError(f"k_max {payload['k_max']} is negative")
     chains: dict[Partition, Chain] = {}
     pairing: dict[Partition, Partition] = {}
     for rec in payload["chains"]:
@@ -352,7 +354,7 @@ def _stage_source(s_vec: Vector) -> Partition:
     """Deficit label of the orbit holding the trimmed stage vector."""
     if s_vec[0] != 0 or s_vec[-1] != 1:
         raise ValueError(f"stage vector {format_vector(s_vec)} is not 0...1")
-    loc = locate_in_tail(reduce(s_vec[1:-1]))
+    loc = locate_in_tail(s_vec[1:-1])
     if loc is None:
         raise RuntimeError(f"trimmed stage {format_vector(s_vec)} is in no orbit")
     return loc.mu

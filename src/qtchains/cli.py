@@ -17,7 +17,7 @@ from .dyck import (
     partition_from_class,
     reduce,
 )
-from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound
+from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
 from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
@@ -151,11 +151,14 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
         print(cat_n(args.n))
         return 0
     mu = args.mu
-    coll = builder.extend_all(builder.seed_base_collection(), sum(mu))
-    if mu not in coll.chains:
+    chain = None
+    # above the base deficits only flagpole partitions get chains, so skip the build
+    if sum(mu) <= builder.BASE_K_MAX or is_flagpole(mu):
+        chain = builder.extend_all(builder.seed_base_collection(), sum(mu)).chains.get(mu)
+    if chain is None:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
-    print(cat_n_mu(args.n, coll.chains[mu]))
+    print(cat_n_mu(args.n, chain))
     return 0
 
 

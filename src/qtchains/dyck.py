@@ -47,23 +47,6 @@ def format_vector(v: Vector) -> str:
     return "".join(str(x) if 0 <= x <= 9 else f"({x})" for x in v)
 
 
-# ---------------------------------------------------------------- class moves
-
-def lift(v: Vector) -> Vector:
-    """Prepend a 0 and shift up: the longer representative of the same class."""
-    return (0,) + tuple(x + 1 for x in v)
-
-
-@lru_cache(maxsize=None)
-def reduce(v: Vector) -> Vector:
-    """The unique shortest nonnegative representative of the class of v."""
-    while min(v) < 0:
-        v = lift(v)
-    while len(v) >= 2 and v[1] == 1 and min(v[1:]) >= 1:
-        v = tuple(x - 1 for x in v[1:])
-    return v
-
-
 # ---------------------------------------------------------------- statistics
 
 def area(v: Vector) -> int:
@@ -73,19 +56,12 @@ def area(v: Vector) -> int:
 
 @lru_cache(maxsize=None)
 def dinv(v: Vector) -> int:
-    """Count pairs i < j with v_i - v_j in {0, 1}.
+    """Count pairs i < j with v_i - v_j in {0, 1} in the word ..., -2, -1, v.
 
-    Class invariant; vectors with negative entries are reduced first, which
-    matches counting against the infinite descending run to the left.
+    A class invariant, read off the partition; dinv_extended in
+    tests/oracles.py counts the pairs directly.
     """
-    if min(v) < 0:
-        v = reduce(v)
-    total = 0
-    seen = [0] * (max(v) + 2)  # seen[x]: earlier entries equal to x
-    for x in v:
-        total += seen[x] + seen[x + 1]
-        seen[x] += 1
-    return total
+    return partition_dinv(partition_from_class(v))
 
 
 def defc(v: Vector) -> int:
@@ -152,6 +128,12 @@ def partition_from_class(v: Vector) -> Partition:
 def class_from_partition(p: Partition) -> Vector:
     """Reduced vector of the class of p."""
     return qdv_from_partition(p, mind(p))
+
+
+@lru_cache(maxsize=None)
+def reduce(v: Vector) -> Vector:
+    """The unique shortest nonnegative representative of the class of v."""
+    return class_from_partition(partition_from_class(v))
 
 
 # ------------------------------------------------------------- enumeration

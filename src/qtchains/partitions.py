@@ -32,11 +32,13 @@ def read_number(text: str, i: int) -> tuple[int, int]:
 def parse_partition(text: str) -> Partition:
     """Parse word notation like '531^4' or '(12)84^2' into a part tuple.
 
-    '0' denotes the empty partition.  Parts above 9 are parenthesized;
-    an exponent must be positive.
+    '0' denotes the empty partition; an empty word is an error.  Parts
+    above 9 are parenthesized; an exponent must be positive.
     """
     s = text.strip()
-    if s == "0" or not s:
+    if not s:
+        raise ValueError(f"empty partition word {text!r}; the empty partition is '0'")
+    if s == "0":
         return ()
     parts: list[int] = []
     i = 0

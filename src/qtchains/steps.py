@@ -3,8 +3,9 @@
 The first-order step acts by part surgery on the partition of a class and
 raises dinv by 1 while preserving the deficit.  Where it is undefined, a
 second-order step rewrites a distinguished representative of the class.
-The *_partition steps take and return partitions; nu1, nd1, nu2 and nd2
-take and return reduced vectors.
+The *_partition steps take and return partitions; the class steps nu1,
+nd1, nu2, nd2, nu and nd take any representative of a class and return the
+reduced vector.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .dyck import (
     class_from_partition,
     partition_from_class,
     qdv_from_partition,
-    reduce,
 )
 from .partitions import Partition
 
@@ -34,12 +34,6 @@ def nd1_partition(p: Partition) -> Partition | None:
     if not p or p[0] < len(p):
         return None
     return tuple([a + 1 for a in p[1:]]) + (1,) * (p[0] - len(p))
-
-
-def is_nu1_initial(c: Vector) -> bool:
-    """True when no class maps onto this one under the first-order step."""
-    p = partition_from_class(c)
-    return not p or p[0] < len(p)
 
 
 def nu1(c: Vector) -> Vector | None:
@@ -165,7 +159,6 @@ def nd2(c: Vector) -> Vector | None:
 
 def nu(c: Vector) -> Vector | None:
     """Combined successor: first-order step when defined, else second-order."""
-    c = reduce(c)
     out = nu1(c)
     if out is None:
         out = nu2(c)
@@ -174,7 +167,6 @@ def nu(c: Vector) -> Vector | None:
 
 def nd(c: Vector) -> Vector | None:
     """Combined predecessor: inverse of nu."""
-    c = reduce(c)
     out = nd1(c)
     if out is None:
         out = nd2(c)

@@ -15,7 +15,6 @@ from qtchains.dyck import (
     dinv,
     enumerate_deficit,
     format_vector,
-    lift,
     mind,
     partition_from_class,
     qdv_from_partition,
@@ -51,6 +50,22 @@ def dinv_extended(v: Vector) -> int:
             if word[i] - word[j] in (0, 1):
                 total += 1
     return total
+
+
+def lift(v: Vector) -> Vector:
+    """Prepend a 0 and shift up: the longer representative of the same class."""
+    return (0,) + tuple(x + 1 for x in v)
+
+
+def reduce_by_lifting(v: Vector) -> Vector:
+    """The shortest nonnegative representative of the class of v: lift while an
+    entry is negative, then drop the first entry and shift down while that
+    stays nonnegative."""
+    while min(v) < 0:
+        v = lift(v)
+    while len(v) >= 2 and v[1] == 1 and min(v[1:]) >= 1:
+        v = tuple(x - 1 for x in v[1:])
+    return v
 
 
 def partition_dinv_by_cells(p: Partition) -> int:

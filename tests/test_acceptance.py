@@ -14,7 +14,6 @@ from qtchains.dyck import (
     defc,
     dinv,
     enumerate_deficit,
-    lift,
     mind,
     parse_vector,
     partition_from_class,
@@ -25,7 +24,6 @@ from qtchains.flagpole import count_flagpole, count_flagpole_bruteforce
 from qtchains.partitions import count_partitions_max, parse_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import (
-    is_nu1_initial,
     nd,
     nd1,
     nd1_partition,
@@ -57,6 +55,7 @@ from oracles import (
     dinv_extended,
     dyck_vectors,
     is_reduced,
+    lift,
     tail_iter,
 )
 
@@ -140,7 +139,7 @@ def test_criterion_02_source_goldens(base_coll, coll12):
     for text, vec in _WALK_DOWN:
         p, c = nd1_partition(p), nd1(c)
         checks += [p == parse_partition(text), c == reduce(parse_vector(vec))]
-    checks.append(is_nu1_initial(c))
+    checks.append(nd1(c) is None)
 
     for mu_text, vec in _TI2_TABLE.items():
         checks.append(ti2(parse_partition(mu_text)) == parse_vector(vec))

@@ -228,6 +228,12 @@ def test_extension_reaches_deficit_twelve(coll12):
     assert len(coll12.chains) == 95
 
 
+def test_chains_above_the_base_are_flagpole(coll12):
+    # `catalan N --mu MU` answers "no chain" without building when MU is not flagpole
+    above = [mu for mu in coll12.chains if sum(mu) > BASE_K_MAX]
+    assert above and all(is_flagpole(mu) for mu in above)
+
+
 def test_k12_chains_match_class_walk(coll12):
     for mu, chain in coll12.chains.items():
         d = coverage_bound(sum(mu)) + 10

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qtchains import cli
+from qtchains import builder, cli
 from qtchains.builder import _certificate
 from qtchains.cli import run
 from qtchains.partitions import parse_partition
@@ -89,6 +89,7 @@ def test_tail_plateau(capsys):
         (["tail", "3^0"], "3^0"),
         (["tail", "23^0"], "23^0"),
         (["ti2", "1^(0)"], "1^(0)"),
+        (["tail", "", "--count", "2"], ""),
     ],
 )
 def test_bad_partition_is_usage_error(capsys, argv, word):
@@ -255,6 +256,17 @@ def test_catalan_missing_chain(capsys):
     assert "no chain stored for 61" in captured.err
 
 
+def test_catalan_non_flagpole_answers_without_building(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("extend_all called")
+
+    monkeypatch.setattr(builder, "extend_all", no_build)
+    assert run(["catalan", "3", "--mu", "6^4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no chain stored for 6^4" in captured.err
+
+
 def test_build_verify_export_round_trip(tmp_path, capsys):
     out = tmp_path / "c7.json"
     assert run(["build", "7", "--out", str(out)]) == 0
@@ -372,6 +384,7 @@ MALFORMED = {
     "deficit-above-k_max": collection(
         certified(), certified(mu="1", partner="1", start=1, generators=["001"]), k_max=0
     ),
+    "negative-k_max": {"format": 1, "k_max": -1, "chains": []},
 }
 
 

@@ -11,7 +11,6 @@ from qtchains.dyck import (
     enumerate_deficit,
     format_vector,
     is_qdv,
-    lift,
     mind,
     parse_vector,
     partition_dinv,
@@ -28,7 +27,9 @@ from oracles import (
     dinv_extended,
     dyck_vectors,
     is_reduced,
+    lift,
     partition_dinv_by_cells,
+    reduce_by_lifting,
     unlift,
 )
 
@@ -111,7 +112,7 @@ def test_partition_word_round_trip(mults):
     assert parse_partition(format_partition(p)) == p
 
 
-@pytest.mark.parametrize("word", ["3^0", "23^0", "1^(0)", "3^(-1)", "3^"])
+@pytest.mark.parametrize("word", ["3^0", "23^0", "1^(0)", "3^(-1)", "3^", "", " "])
 def test_bad_partition_word(word):
     with pytest.raises(ValueError):
         parse_partition(word)
@@ -122,6 +123,9 @@ def test_reduce_goldens():
     assert reduce((0, 1, 2, 3)) == (0,)
     assert reduce((0,)) == (0,)
     assert reduce((0, 0, 0, 1, 2, -1, 0, 0, 1, 1, 1, 1)) == (0, 1, 1, 1, 2, 3, 0, 1, 1, 2, 2, 2, 2)
+    # read off the partition (20001), not by 20000 lifts
+    assert reduce((0, -20000)) == tuple(range(20001)) + (0,)
+    assert dinv((0, -20000)) == 2
 
 
 def test_reduced_predicate():
@@ -147,7 +151,7 @@ def test_partition_statistics_match_class_vectors():
     for size in range(21):
         for p in partitions_of(size):
             v = class_from_partition(p)
-            assert partition_dinv(p) == dinv(v) == partition_dinv_by_cells(p), p
+            assert partition_dinv(p) == dinv_extended(v) == partition_dinv_by_cells(p), p
             assert mind(p) == len(v), p
             assert starts_00(p, mind(p)) == (v == (0,) or v[:2] == (0, 0)), p
             for n in range(len(p) + 1, len(v) + 3):
@@ -190,6 +194,23 @@ def test_classify_vector():
 @given(qdv_strategy())
 def test_dinv_matches_extended_word_count(v):
     assert dinv(v) == dinv_extended(v)
+
+
+def test_class_statistics_match_oracles_on_every_short_vector():
+    """reduce and dinv agree with the lift/strip loop and the direct pair count
+    on every nonnegative vector of length at most 10, its lift and its
+    one-step unlift, which brings in negative entries."""
+    count = negative = 0
+    for n in range(1, 11):
+        for v in dyck_vectors(n):
+            for w in (v, lift(v), unlift(v)):
+                if w is None:
+                    continue
+                assert reduce(w) == reduce_by_lifting(w), w
+                assert dinv(w) == dinv_extended(w), w
+                count += 1
+                negative += min(w) < 0
+    assert (count, negative) == (64221, 9878)
 
 
 @settings(max_examples=150)

@@ -11,7 +11,6 @@ from qtchains.dyck import (
 )
 from qtchains.partitions import partitions_of
 from qtchains.steps import (
-    is_nu1_initial,
     nd,
     nd1,
     nd2,
@@ -53,9 +52,9 @@ def test_nu1_partition_edges():
 
 
 def test_initial_final_markers():
-    assert is_nu1_initial(reduce((0,)))
-    assert is_nu1_initial(class_from_partition((1, 1, 1)))
-    assert not is_nu1_initial(class_from_partition((3, 1)))
+    assert nd1(reduce((0,))) is None
+    assert nd1(class_from_partition((1, 1, 1))) is None
+    assert nd1(class_from_partition((3, 1))) is not None
     assert nu1(class_from_partition((6, 1, 1))) is None
     assert nu1(class_from_partition((5, 1, 1))) is not None
 
@@ -70,7 +69,7 @@ def test_first_order_inverse_laws():
             assert dinv(up) == dinv(c) + 1
             assert defc(up) == defc(c)
         down = nd1(c)
-        assert (down is None) == is_nu1_initial(c)
+        assert (down is None) == (not p or p[0] < len(p))
         if down is not None:
             assert nu1(down) == c
 

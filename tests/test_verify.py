@@ -5,7 +5,7 @@ import pytest
 
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, validate_collection
-from qtchains.dyck import dinv, lift, mind, parse_vector
+from qtchains.dyck import dinv, mind, parse_vector
 from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import nd
@@ -23,7 +23,7 @@ from qtchains.verify import (
     report_lines,
 )
 
-from oracles import cat_n_mu_by_lookup, chain_amh, opposite_per_n
+from oracles import cat_n_mu_by_lookup, chain_amh, lift, opposite_per_n
 
 
 GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
