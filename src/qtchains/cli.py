@@ -13,9 +13,9 @@ from .dyck import (
     defc,
     dinv,
     format_vector,
+    mind,
     parse_vector,
     partition_from_class,
-    reduce,
 )
 from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole
 from .partitions import Partition, count_partitions, format_partition, parse_partition
@@ -30,6 +30,7 @@ TAIL_COUNT_MAX = 40_000  # `tail --count`
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
 BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
 OPPOSITE_MAX = 40  # `verify --opposite N`, on a deficit-16 collection
+STATS_LEN_MAX = 100_000  # reduced length of a `stats` word; output grows with it
 
 
 def _partition_arg(word: str) -> Partition:
@@ -57,14 +58,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for word in args.vector:
         try:
             v = parse_vector(word)
+            p = partition_from_class(v)
         except ValueError:
             try:
-                v = class_from_partition(parse_partition(word))
+                p = parse_partition(word)
             except ValueError as exc:
                 print(f"cannot parse {word}: {exc}", file=sys.stderr)
                 return 1
-        r = reduce(v)
-        p = partition_from_class(r)
+            v = None
+        if (n := mind(p)) > STATS_LEN_MAX:
+            print(f"{word}: reduced length {n} is above the limit {STATS_LEN_MAX}", file=sys.stderr)
+            return 1
+        r = class_from_partition(p)
+        v = r if v is None else v
         print(
             f"{word}: reduced {format_vector(r)} partition {format_partition(p)}"
             f" len {len(r)} area {area(v)} dinv {dinv(v)} defc {defc(v)}"
@@ -194,7 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="statistics of one or more vectors")
-    p.add_argument("vector", nargs="+")
+    p.add_argument(
+        "vector",
+        nargs="+",
+        help=f"a vector or partition word, of reduced length at most {STATS_LEN_MAX}",
+    )
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("tail", help="elements of the orbit indexed by a partition")

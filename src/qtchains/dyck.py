@@ -21,7 +21,7 @@ def is_qdv(v) -> bool:
     """True for a nonempty int tuple starting at 0 with rises of at most 1."""
     if not v or v[0] != 0:
         return False
-    return all(v[i + 1] <= v[i] + 1 for i in range(len(v) - 1))
+    return max(map(sub, v[1:], v), default=1) <= 1
 
 
 def check_qdv(v) -> Vector:
@@ -32,8 +32,14 @@ def check_qdv(v) -> Vector:
 
 
 def parse_vector(text: str) -> Vector:
-    """Parse digit notation like '0122011' or '01222(-1)001(-1)(-1)'."""
+    """Parse digit notation like '0122011' or '01222(-1)001(-1)(-1)'.
+
+    A word of digits alone is read in one pass; any other word one number
+    at a time.
+    """
     s = text.strip()
+    if s.isdigit():
+        return check_qdv(map(int, s))
     out: list[int] = []
     i = 0
     while i < len(s):

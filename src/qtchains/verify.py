@@ -189,17 +189,19 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
         basic_e = _res(
             "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
         )
+    names = [format_partition(c.mu) for c in sides]
     rows: list[tuple[str, CheckResult]] = []
-    for c, other, c_parts, prof, c_amh in zip(sides, (partner, chain), parts, profs, amh):
+    for c, other, name, c_parts, prof, c_amh in zip(
+        sides, (partner, chain), names, parts, profs, amh
+    ):
         results = (
             check_basic(c, other, c_parts, prof)
             + [basic_e]
             + check_local(c, prof, c_amh)
             + check_extra(c, c_parts, prof, c_amh)
         )
-        rows += [(format_partition(c.mu), r) for r in results]
-    name = format_partition(chain.mu)
-    return rows + [(name, r) for r in check_amh(amh[0], amh[-1], k)]
+        rows += [(name, r) for r in results]
+    return rows + [(names[0], r) for r in check_amh(amh[0], amh[-1], k)]
 
 
 def check_basic(
@@ -388,14 +390,27 @@ def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
 def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult]:
     """Path sums of the pair are mirror images in q and t, for each n up to n_max.
 
-    Each chain is walked once, to n_max; every n reads that one walk.
+    Each chain is walked once, to n_max; every n compares the two walks'
+    dinv lists, and the polynomials are built only for a failing row's
+    witness.
     """
     ours, theirs = _lengths(chain, n_max), _lengths(partner, n_max)
     out: list[CheckResult] = []
     for n in range(1, n_max + 1):
-        lhs = _path_sum(n, chain, ours)
-        rhs = _path_sum(n, partner, theirs).swap()
-        ok = lhs == rhs
-        witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
+        # Each walk's dinvs ascend without repeats and every term is
+        # q^(top - d) t^d with coefficient 1, so the chain's sum is the
+        # partner's swapped exactly when the chain's dinvs are top_star
+        # minus the partner's, and the tops agree unless both sums are 0.
+        top = comb(n, 2) - sum(chain.mu)
+        top_star = comb(n, 2) - sum(partner.mu)
+        mine = [d for d, ln in ours if ln <= n]
+        ok = mine == [top_star - d for d, ln in reversed(theirs) if ln <= n] and (
+            top == top_star or not mine
+        )
+        witness = ""
+        if not ok:
+            lhs = _path_sum(n, chain, ours)
+            rhs = _path_sum(n, partner, theirs).swap()
+            witness = f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out

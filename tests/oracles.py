@@ -21,7 +21,7 @@ from qtchains.dyck import (
     reduce,
 )
 from qtchains.flagpole import v_template
-from qtchains.partitions import Partition, format_partition, partitions_of
+from qtchains.partitions import Partition, format_partition, partitions_of, read_number
 from qtchains.poly import QtPolynomial
 from qtchains.steps import nd, nu, nu1
 from qtchains.tails import (
@@ -93,6 +93,19 @@ def defc_pairs(v: Vector) -> int:
             if v[i] - v[j] >= 2 or (v[i] < v[j] and first[v[i]] < i):
                 total += 1
     return total
+
+
+def parse_vector_by_char(text: str) -> Vector:
+    """parse_vector reading one number at a time, with an indexed rise check."""
+    s = text.strip()
+    out: list[int] = []
+    i = 0
+    while i < len(s):
+        x, i = read_number(s, i)
+        out.append(x)
+    if not out or out[0] != 0 or any(out[i + 1] > out[i] + 1 for i in range(len(out) - 1)):
+        raise ValueError(f"not a quasi-Dyck vector: {tuple(out)}")
+    return tuple(out)
 
 
 def is_reduced(v: Vector) -> bool:

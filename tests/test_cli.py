@@ -43,6 +43,35 @@ def test_stats_bad_word(capsys):
     assert "cannot parse xyz" in captured.err
 
 
+def test_stats_at_the_length_limit(capsys):
+    word = f"0(-{cli.STATS_LEN_MAX - 2})"
+    assert run(["stats", "0(-20000)", word]) == 0
+    out = lines(capsys)
+    assert out[0].endswith(" partition (20001) len 20002 area -20000 dinv 2 defc 19999")
+    assert f" len {cli.STATS_LEN_MAX} " in out[1]
+
+
+@pytest.mark.parametrize(
+    "word", [f"0(-{cli.STATS_LEN_MAX - 1})", f"({cli.STATS_LEN_MAX})", f"1^({cli.STATS_LEN_MAX})"]
+)
+def test_stats_above_the_length_limit(capsys, word):
+    assert run(["stats", "0122011", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("0122011: ")
+    assert captured.out.count("\n") == 1
+    assert (
+        f"{word}: reduced length {cli.STATS_LEN_MAX + 1} is above the limit {cli.STATS_LEN_MAX}"
+        in captured.err
+    )
+
+
+def test_stats_limit_is_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["stats", "--help"])
+    assert exc.value.code == 0
+    assert f"at most {cli.STATS_LEN_MAX}" in capsys.readouterr().out
+
+
 def test_ti2(capsys):
     assert run(["ti2", "211"]) == 0
     assert lines(capsys) == [

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from oracles import (
     dyck_vectors,
     is_reduced,
     lift,
+    parse_vector_by_char,
     partition_dinv_by_cells,
     reduce_by_lifting,
     unlift,
@@ -96,6 +99,32 @@ def test_parse_format_round_trip():
     stair = tuple(range(11))
     assert format_vector(stair) == "0123456789(10)"
     assert parse_vector("0123456789(10)") == stair
+
+
+def _outcome(parse, word):
+    try:
+        return parse(word)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_parse_vector_matches_per_character_reader():
+    """Digit-only words take a one-pass read; every word gives the value or
+    the exception type of the per-character reference.  '²' and '٣' are
+    digits to str.isdigit, and only '٣' is one to int."""
+    rng = random.Random(12)
+    pieces = list("0001112223(-)²٣x ") + ["(-1)", "(-2)", "(1)"] * 3
+    words = ["", " ", "0", " 012 ", "0²", "0٣", "01٣", "0(٣)", "0(-)", "0(", "0)"]
+    words += [
+        rng.choice(("", "0")) + "".join(rng.choices(pieces, k=rng.randrange(10)))
+        for _ in range(20_000)
+    ]
+    outcomes = [_outcome(parse_vector, w) for w in words]
+    assert outcomes == [_outcome(parse_vector_by_char, w) for w in words]
+    parsed = [w for w, o in zip(words, outcomes) if isinstance(o, tuple)]
+    assert sum(w.strip().isdigit() for w in parsed) > 100
+    assert sum(not w.strip().isdigit() for w in parsed) > 100
+    assert {ValueError} == {o for o in outcomes if not isinstance(o, tuple)}
 
 
 @settings(max_examples=300)

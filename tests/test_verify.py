@@ -341,6 +341,22 @@ def test_opposite_matches_per_n_oracle(coll12):
         assert opposite_bruteforce(chain, partner, 24) == opposite_per_n(chain, partner, 24), mu
 
 
+def test_opposite_on_every_ordered_pair_matches_per_n_oracle(coll12):
+    """Every ordered pair of chains of deficit at most 4, self pairs and pairs
+    of different sizes included: the same rows and witnesses as the per-n
+    oracle, with failing rows among the pairs of different sizes."""
+    chains = [coll12.chain(mu) for mu in coll12.members() if sum(mu) <= 4]
+    assert len(chains) == 12
+    mixed = []
+    for chain in chains:
+        for partner in chains:
+            got = opposite_bruteforce(chain, partner, 12)
+            assert got == opposite_per_n(chain, partner, 12), (chain, partner)
+            if sum(chain.mu) != sum(partner.mu):
+                mixed += got
+    assert any(r.ok for r in mixed) and any(not r.ok for r in mixed)
+
+
 def _rows_or_error(check, chain: Chain, partner: Chain, n_max: int):
     try:
         return check(chain, partner, n_max)
