@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from math import comb
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .dyck import (
     Vector,
@@ -49,17 +48,20 @@ from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 
 BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
+SEARCH_NODE_MAX = 800_000  # tilings one search_chains call may place; about 3 s cold
 
 Segment = tuple[int, tuple[Vector, ...]]  # a maximal first-order segment: start dinv, classes
 
 
-@dataclass
 class ChainCollection:
     """Chains keyed by deficit partition, with the size-preserving pairing."""
 
-    chains: dict[Partition, Chain]
-    pairing: dict[Partition, Partition]
-    k_max: int
+    def __init__(
+        self, chains: dict[Partition, Chain], pairing: dict[Partition, Partition], k_max: int
+    ):
+        self.chains = chains
+        self.pairing = pairing
+        self.k_max = k_max
 
     def chain(self, mu: Partition) -> Chain:
         return self.chains[tuple(mu)]
@@ -100,23 +102,14 @@ def _matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
             yield {pool[0]: other, other: pool[0], **m}
 
 
-def _exact_covers(options: list[list[tuple[int, ...]]], free: frozenset[int]) -> Iterator[tuple]:
-    """One tiling from each option list, together using each index of free once."""
-    if not options:
-        if not free:
-            yield ()
-        return
-    for t in options[0]:
-        if free.issuperset(t):
-            for rest in _exact_covers(options[1:], free.difference(t)):
-                yield (t,) + rest
+def _search_setup(
+    k: int,
+) -> tuple[list[Partition], dict[Partition, Vector], dict[Partition, int], list[Segment]]:
+    """The deficit-k partitions in search order, their base vectors and base dinvs,
+    and the maximal first-order segments below the base orbits, sorted.
 
-
-def chain_candidates(k: int) -> Iterator[ChainCollection]:
-    """Every deficit-k collection of chains and pairing whose chains tile the classes.
-
-    Pairings come self images first, then partners in increasing order;
-    within one, tilings in (start, vector) segment order."""
+    Raises RuntimeError unless the segments and the base orbits tile the
+    deficit-k classes through the largest base dinv."""
     mus = list(partitions_of(k))[::-1]
     base = {mu: ti(mu) for mu in mus}
     target = {mu: ti_dinv(mu) for mu in mus}
@@ -144,32 +137,86 @@ def chain_candidates(k: int) -> Iterator[ChainCollection]:
         seen.extend(tail_elements(mu, horizon - target[mu] + 1))
     if sorted(seen) != sorted(universe):
         raise RuntimeError(f"segments do not tile the deficit-{k} classes")
-
-    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for pairing in _matchings(mus):
-        options = [_tilings(segments, len(pairing[mu]), target[mu], table) for mu in mus]
-        for choice in _exact_covers(options, frozenset(range(len(segments)))):
-            chains = {
-                mu: Chain(mu, len(pairing[mu]), [segments[i][1][0] for i in tiles] + [base[mu]])
-                for mu, tiles in zip(mus, choice)
-            }
-            yield ChainCollection(chains, pairing, k)
+    return mus, base, target, segments
 
 
-def assignment_passes(coll: ChainCollection) -> bool:
-    """Every chain pair of the collection passes check_pair."""
-    return all(
-        r.ok
-        for mu, star in coll.pairs()
-        for _, r in check_pair(coll.chains[mu], coll.chains[star], sum(mu))
-    )
+class _Search:
+    """Per-call state of search_chains: the segment table, the tilings per
+    (start, base dinv), each Chain by its key (mu, start, tiles), each
+    pair's verdict, and the number of tilings placed."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.mus, self.base, self.target, self.segments = _search_setup(k)
+        self.table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.chains: dict[tuple, Chain] = {}
+        self.verdicts: dict[tuple, bool] = {}
+        self.placed = 0
+
+    def chain(self, key: tuple) -> Chain:
+        if key not in self.chains:
+            mu, start, tiles = key
+            gens = [self.segments[i][1][0] for i in tiles] + [self.base[mu]]
+            self.chains[key] = Chain(mu, start, gens)
+        return self.chains[key]
+
+    def passes(self, a: tuple, b: tuple) -> bool:
+        """Whether the chains of keys a and b pass check_pair, in coll.pairs() order."""
+        if b[0] < a[0]:
+            a, b = b, a
+        if (a, b) not in self.verdicts:
+            rows = check_pair(self.chain(a), self.chain(b), self.k)
+            self.verdicts[a, b] = all(r.ok for _, r in rows)
+        return self.verdicts[a, b]
+
+    def cover(
+        self, pairing: dict[Partition, Partition], options: list, i: int, free: frozenset[int],
+        fixed: dict[Partition, tuple],
+    ) -> dict[Partition, tuple] | None:
+        """The first way to fix mus[i:] on the free segments with every pair
+        passing, as chain keys by partition; fixed holds the keys of mus[:i]."""
+        if i == len(self.mus):
+            return dict(fixed) if not free else None
+        mu = self.mus[i]
+        star = pairing[mu]
+        for tiles in options[i]:
+            if not free.issuperset(tiles):
+                continue
+            self.placed += 1
+            if self.placed > SEARCH_NODE_MAX:
+                raise RuntimeError(
+                    f"search at deficit {self.k} found no assignment within "
+                    f"SEARCH_NODE_MAX = {SEARCH_NODE_MAX} placed tilings"
+                )
+            fixed[mu] = (mu, len(star), tiles)
+            if star not in fixed or self.passes(fixed[mu], fixed[star]):
+                found = self.cover(pairing, options, i + 1, free.difference(tiles), fixed)
+                if found is not None:
+                    return found
+            del fixed[mu]
+        return None
 
 
 def search_chains(k: int) -> ChainCollection:
-    """The first of chain_candidates(k) whose chain pairs pass every check."""
-    for coll in chain_candidates(k):
-        if assignment_passes(coll):
-            return coll
+    """The first deficit-k collection, in candidate order, whose chain pairs pass every check.
+
+    Candidates run through the pairings in _matchings order and, within one,
+    fix the partitions one at a time in search order, each trying its
+    tilings in order on the segments still free.  A pair is checked as soon
+    as both its chains are fixed, and a failing pair skips every candidate
+    that holds it, so the first hit is the first passing candidate.  More
+    than SEARCH_NODE_MAX placed tilings raise RuntimeError.
+    """
+    search = _Search(k)
+    everything = frozenset(range(len(search.segments)))
+    for pairing in _matchings(search.mus):
+        options = [
+            _tilings(search.segments, len(pairing[mu]), search.target[mu], search.table)
+            for mu in search.mus
+        ]
+        found = search.cover(pairing, options, 0, everything, {})
+        if found is not None:
+            return ChainCollection({mu: search.chain(key) for mu, key in found.items()}, pairing, k)
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 
@@ -310,9 +357,13 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:
 
 # ---------------------------------------------------------------- extension
 
-@dataclass(frozen=True)
-class BuildContext:
-    """Template data for one new chain pair."""
+class BuildContext(NamedTuple):
+    """Template data for one new chain pair.
+
+    sources[j] is the deficit label of the orbit holding the trimmed stage
+    vector stages.s_vectors[j + 1], and sources_star the same for the
+    partner; each is located once per context.
+    """
 
     mu: Partition
     mu_star: Partition
@@ -320,11 +371,14 @@ class BuildContext:
     lam_star: Partition
     stages: TailTwoSummary
     stages_star: TailTwoSummary
+    sources: tuple[Partition, ...]
+    sources_star: tuple[Partition, ...]
 
     def swapped(self) -> BuildContext:
         """The same pair seen from the partner's side."""
         return BuildContext(
-            self.mu_star, self.mu, self.lam_star, self.lam, self.stages_star, self.stages
+            self.mu_star, self.mu, self.lam_star, self.lam, self.stages_star, self.stages,
+            self.sources_star, self.sources,
         )
 
 
@@ -347,7 +401,12 @@ def build_context(coll: ChainCollection, mu: Partition) -> BuildContext:
     budget = comb(len(v), 2) - k
     if dinv(v) + area(v) != budget or dinv(v_star) + area(v_star) != budget:
         raise RuntimeError(f"stat identity fails for {format_partition(mu)}")
-    return BuildContext(mu, mu_star, lam, lam_star, s_vectors(v), s_vectors(v_star))
+    stages, stages_star = s_vectors(v), s_vectors(v_star)
+    return BuildContext(
+        mu, mu_star, lam, lam_star, stages, stages_star,
+        tuple(map(_stage_source, stages.s_vectors[1:])),
+        tuple(map(_stage_source, stages_star.s_vectors[1:])),
+    )
 
 
 def _stage_source(s_vec: Vector) -> Partition:
@@ -362,11 +421,7 @@ def _stage_source(s_vec: Vector) -> Partition:
 
 def needed_partitions(ctx: BuildContext) -> set[Partition]:
     """Smaller deficit labels whose chains the assembly consults."""
-    need = {ctx.lam, ctx.lam_star}
-    for stages in (ctx.stages, ctx.stages_star):
-        for s_vec in stages.s_vectors[1:]:
-            need.add(_stage_source(s_vec))
-    return need
+    return {ctx.lam, ctx.lam_star, *ctx.sources, *ctx.sources_star}
 
 
 def _lifted_element(chain: Chain, d: int, length: int) -> Vector:
@@ -382,16 +437,23 @@ def bridge_vector(coll: ChainCollection, lam: Partition, i: int, length: int) ->
     return _lifted_element(coll.chains[tuple(lam)], i - 1, length)
 
 
+def _mirror(coll: ChainCollection, rho: Partition, s_vec: Vector) -> Vector:
+    """Area-dinv mirror of a stage vector whose orbit label is rho."""
+    return _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
+
+
 def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
     """Area-dinv mirror of a stage vector, through the partner of its orbit label."""
-    rho = _stage_source(s_vec)
-    return _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
+    return _mirror(coll, _stage_source(s_vec), s_vec)
 
 
 def _assemble(coll: ChainCollection, ctx: BuildContext) -> Chain:
     """The chain of ctx.mu: partner antipodes, then bridges, then its own stages."""
     stages, stages_star = ctx.stages, ctx.stages_star
-    gens = [antipode(coll, s_vec) for s_vec in stages_star.s_vectors[:0:-1]]
+    gens = [
+        _mirror(coll, rho, s_vec)
+        for rho, s_vec in zip(ctx.sources_star[::-1], stages_star.s_vectors[:0:-1])
+    ]
     for i in range(area(stages_star.v), dinv(stages.v) - 1, 2):
         gens.append(bridge_vector(coll, ctx.lam, i, len(stages.v)))
     gens.extend(stages.s_vectors)

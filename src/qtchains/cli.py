@@ -17,7 +17,7 @@ from .dyck import (
     parse_vector,
     partition_from_class,
 )
-from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole
+from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole, phi
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
 from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
@@ -152,14 +152,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if fails else 0
 
 
+def _may_get_chain(mu: Partition) -> bool:
+    """False when extend_all cannot give mu a chain, so `catalan --mu` skips the build.
+
+    Above the base deficits only flagpole partitions get chains, and only
+    when their flag type phi(mu)[0] has one, so the test recurses on the
+    flag type down to the base deficits.
+    """
+    while sum(mu) > builder.BASE_K_MAX:
+        if not is_flagpole(mu):
+            return False
+        mu = phi(mu)[0]
+    return True
+
+
 def _cmd_catalan(args: argparse.Namespace) -> int:
     if args.mu is None:
         print(cat_n(args.n))
         return 0
     mu = args.mu
     chain = None
-    # above the base deficits only flagpole partitions get chains, so skip the build
-    if sum(mu) <= builder.BASE_K_MAX or is_flagpole(mu):
+    if _may_get_chain(mu):
         chain = builder.extend_all(builder.seed_base_collection(), sum(mu)).chains.get(mu)
     if chain is None:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)

@@ -48,9 +48,19 @@ def parse_vector(text: str) -> Vector:
     return check_qdv(out)
 
 
+# entries 0..9 become their digits; any other byte becomes 0xff, which ascii rejects
+_DIGITS = bytes(range(48, 58)) + b"\xff" * 246
+
+
 def format_vector(v: Vector) -> str:
-    """Inverse of parse_vector; entries outside 0..9 are parenthesized."""
-    return "".join(str(x) if 0 <= x <= 9 else f"({x})" for x in v)
+    """Inverse of parse_vector; entries outside 0..9 are parenthesized.
+
+    A vector of entries 0..9 alone is written in one bytes translation.
+    """
+    try:
+        return bytes(v).translate(_DIGITS).decode("ascii")
+    except ValueError:  # an entry outside 0..255, or a byte outside 0..9
+        return "".join(str(x) if 0 <= x <= 9 else f"({x})" for x in v)
 
 
 # ---------------------------------------------------------------- statistics

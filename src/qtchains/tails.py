@@ -9,10 +9,9 @@ under the combined map extends the first-order orbit downward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
 from .partitions import (
@@ -98,8 +97,7 @@ def staircase_profile(base: int, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TailLocator:
+class TailLocator(NamedTuple):
     """Position of a class inside a first-order orbit."""
 
     mu: Partition
@@ -282,8 +280,7 @@ def _v_partial(runs: tuple[int, ...], c: Vector, i: int, half: int) -> Vector:
     return out + (1,) * (2 * half)
 
 
-@dataclass(frozen=True)
-class TailTwoSummary:
+class TailTwoSummary(NamedTuple):
     """Closed-form description of an extended orbit from its template vector.
 
     s_vectors[j] is the j-th class at which the reduced length drops; the

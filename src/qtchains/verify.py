@@ -9,9 +9,9 @@ of chains a certificate for the joint symmetry of the path sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import comb
+from typing import NamedTuple
 
 from .dyck import (
     Vector, class_from_partition, dinv, mind, partition_dinv, partition_from_class, starts_00
@@ -105,8 +105,7 @@ class Chain:
         return ti_dinv(self.mu) + ti_mind(self.mu) + 1
 
 
-@dataclass(frozen=True)
-class AmhVectors:
+class AmhVectors(NamedTuple):
     """Descent data of a length profile: positions, flat run lengths, values."""
 
     a: tuple[int, ...]
@@ -139,8 +138,7 @@ def amh_vectors(start_dinv: int, prof: list[int]) -> AmhVectors:
 
 # ------------------------------------------------------------- check reports
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     clause: str
     ok: bool
     witness: str = ""

@@ -11,3 +11,8 @@ def base_coll():
 @pytest.fixture(scope="session")
 def coll12(base_coll):
     return extend_all(base_coll, 12)
+
+
+@pytest.fixture(scope="session")
+def coll16(base_coll):
+    return extend_all(base_coll, 16)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from qtchains.builder import ChainCollection
+from qtchains.builder import ChainCollection, _matchings, _search_setup, _tilings
 from qtchains.dyck import (
     Vector,
     area,
@@ -32,7 +32,7 @@ from qtchains.tails import (
     ti,
     ti_dinv,
 )
-from qtchains.verify import AmhVectors, Chain, CheckResult, amh_vectors
+from qtchains.verify import AmhVectors, Chain, CheckResult, amh_vectors, check_pair
 
 
 def dinv_extended(v: Vector) -> int:
@@ -106,6 +106,11 @@ def parse_vector_by_char(text: str) -> Vector:
     if not out or out[0] != 0 or any(out[i + 1] > out[i] + 1 for i in range(len(out) - 1)):
         raise ValueError(f"not a quasi-Dyck vector: {tuple(out)}")
     return tuple(out)
+
+
+def format_vector_by_join(v: Vector) -> str:
+    """Vector word one entry at a time: a digit for 0..9, else the number in parentheses."""
+    return "".join(str(x) if 0 <= x <= 9 else f"({x})" for x in v)
 
 
 def is_reduced(v: Vector) -> bool:
@@ -473,3 +478,44 @@ def coverage_check(coll: ChainCollection, k: int) -> CheckResult:
         else:
             witness = "duplicate classes"
     return CheckResult(f"coverage-k{k}", ok, witness)
+
+
+# ------------------------------------------------------------ base search
+
+def _exact_covers(options: list[list[tuple[int, ...]]], free: frozenset[int]) -> Iterator[tuple]:
+    """One tiling from each option list, together using each index of free once."""
+    if not options:
+        if not free:
+            yield ()
+        return
+    for t in options[0]:
+        if free.issuperset(t):
+            for rest in _exact_covers(options[1:], free.difference(t)):
+                yield (t,) + rest
+
+
+def chain_candidates(k: int) -> Iterator[ChainCollection]:
+    """Every deficit-k collection of chains and pairing whose chains tile the classes.
+
+    Pairings come self images first, then partners in increasing order;
+    within one, tilings in (start, vector) segment order.  This is the
+    candidate order search_chains walks depth first."""
+    mus, base, target, segments = _search_setup(k)
+    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for pairing in _matchings(mus):
+        options = [_tilings(segments, len(pairing[mu]), target[mu], table) for mu in mus]
+        for choice in _exact_covers(options, frozenset(range(len(segments)))):
+            chains = {
+                mu: Chain(mu, len(pairing[mu]), [segments[i][1][0] for i in tiles] + [base[mu]])
+                for mu, tiles in zip(mus, choice)
+            }
+            yield ChainCollection(chains, pairing, k)
+
+
+def assignment_passes(coll: ChainCollection) -> bool:
+    """Every chain pair of the collection passes check_pair."""
+    return all(
+        r.ok
+        for mu, star in coll.pairs()
+        for _, r in check_pair(coll.chains[mu], coll.chains[star], sum(mu))
+    )

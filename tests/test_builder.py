@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtchains import builder
 from qtchains.builder import (
     BASE_K_MAX,
     ChainCollection,
     antipode,
-    assignment_passes,
     bridge_vector,
     build_context,
-    chain_candidates,
     collection_payload,
     extend_all,
     load_collection,
     needed_partitions,
     search_base_collection,
     save_collection,
+    search_chains,
     seed_base_collection,
     validate_collection,
 )
@@ -29,7 +29,15 @@ from qtchains.partitions import format_partition, parse_partition, partitions_of
 from qtchains.tails import coverage_bound
 from qtchains.verify import Chain, CheckResult
 
-from oracles import antipode_inverse, chain_amh, chain_walk_by_nu1, coverage_check, format_profile
+from oracles import (
+    antipode_inverse,
+    assignment_passes,
+    chain_amh,
+    chain_candidates,
+    chain_walk_by_nu1,
+    coverage_check,
+    format_profile,
+)
 
 BASE_PRINTED = [
     ("0", "0", 0, "0"),
@@ -96,6 +104,39 @@ def test_one_candidate_passes_at_each_base_deficit():
     for k in range(BASE_K_MAX + 1):
         passing = [c for c in chain_candidates(k) if assignment_passes(c)]
         assert len(passing) == 1, k
+
+
+@pytest.mark.parametrize("k", range(BASE_K_MAX + 1))
+def test_search_is_the_first_passing_candidate(k):
+    first = next(c for c in chain_candidates(k) if assignment_passes(c))
+    assert collection_payload(search_chains(k)) == collection_payload(first)
+
+
+def test_unseeded_search_at_deficit_six(base_coll):
+    found = search_chains(6)
+    assert {format_partition(mu): format_partition(star) for mu, star in found.pairs()} == {
+        "1^6": "1^6", "21^4": "21^4", "2^21^2": "2^3", "31^3": "321", "3^2": "42",
+        "41^2": "51", "6": "6",
+    }
+    coll = ChainCollection(
+        {**base_coll.chains, **found.chains}, {**base_coll.pairing, **found.pairing}, 6
+    )
+    rows = validate_collection(coll, opposite_n=12)
+    assert [r for _, r in rows if not r.ok] == []
+    assert len(rows) == 667
+    ext = extend_all(base_coll, 6)
+    built = [mu for mu in ext.members() if sum(mu) == 6]
+    assert list(map(format_partition, built)) == ["1^6", "21^4", "31^3", "321"]
+    for mu in built:
+        assert found.partner(mu) == ext.partner(mu), mu
+        assert found.chain(mu).start_dinv == ext.chain(mu).start_dinv, mu
+        assert found.chain(mu).generators == ext.chain(mu).generators, mu
+
+
+def test_search_budget_names_itself(monkeypatch):
+    monkeypatch.setattr(builder, "SEARCH_NODE_MAX", 100)
+    with pytest.raises(RuntimeError, match="SEARCH_NODE_MAX = 100 placed tilings"):
+        search_chains(5)
 
 
 def test_base_collection_validates(base_coll):

@@ -8,7 +8,8 @@ import pytest
 from qtchains import builder, cli
 from qtchains.builder import _certificate
 from qtchains.cli import run
-from qtchains.partitions import parse_partition
+from qtchains.flagpole import is_flagpole
+from qtchains.partitions import parse_partition, partitions_of
 
 
 def lines(capsys):
@@ -294,6 +295,31 @@ def test_catalan_non_flagpole_answers_without_building(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no chain stored for 6^4" in captured.err
+
+
+def test_catalan_flag_type_without_chain_answers_without_building(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("extend_all called")
+
+    monkeypatch.setattr(builder, "extend_all", no_build)
+    assert run(["catalan", "3", "--mu", "921^7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no chain stored for 921^7\n"
+
+
+def test_skipped_partitions_get_no_chain(coll16):
+    # `catalan --mu` skips the build only where extend_all gives no chain:
+    # through deficit 16, at the 14 flagpole partitions whose flag type has none
+    skipped = [
+        mu
+        for n in range(6, 17)
+        for mu in partitions_of(n)
+        if is_flagpole(mu) and not cli._may_get_chain(mu)
+    ]
+    assert len(skipped) == 14
+    assert not set(skipped) & set(coll16.chains)
+    assert all(cli._may_get_chain(mu) for mu in coll16.chains)
 
 
 def test_build_verify_export_round_trip(tmp_path, capsys):

@@ -28,6 +28,7 @@ from oracles import (
     defc_pairs,
     dinv_extended,
     dyck_vectors,
+    format_vector_by_join,
     is_reduced,
     lift,
     parse_vector_by_char,
@@ -99,6 +100,16 @@ def test_parse_format_round_trip():
     stair = tuple(range(11))
     assert format_vector(stair) == "0123456789(10)"
     assert parse_vector("0123456789(10)") == stair
+
+
+def test_format_vector_matches_per_entry_join(coll16):
+    """Words of entries 0..9 take one bytes translation; every vector gives
+    the per-entry join, the stored generators of deficit <= 16 included."""
+    gens = [g for chain in coll16.chains.values() for g in chain.generators]
+    assert len(gens) == 4594
+    odd = [(), (0,), (0, 10), (0, 1, -1), (0, -1, 9), (0, 255), (0, 256), (0, -300), (12, 3)]
+    for v in gens + odd:
+        assert format_vector(v) == format_vector_by_join(v), v
 
 
 def _outcome(parse, word):
