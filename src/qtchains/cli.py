@@ -29,6 +29,7 @@ CATALAN_MAX = 24  # `catalan N` for the full polynomial
 TAIL_COUNT_MAX = 40_000  # `tail --count`
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
 BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
+CATALAN_MU_N_MAX = 340  # N for `catalan N --mu MU`; the walk to length N grows as N^3
 OPPOSITE_MAX = 40  # `verify --opposite N`, on a deficit-16 collection
 STATS_LEN_MAX = 100_000  # reduced length of a `stats` word; output grows with it
 
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalan", help="the full path sum polynomial, or one chain's share")
     p.add_argument(
-        "n", type=_count_arg, help=f"path length, at most {CATALAN_MAX} without --mu"
+        "n",
+        type=_count_arg,
+        help=f"path length, at most {CATALAN_MAX} without --mu and {CATALAN_MU_N_MAX} with it",
     )
     p.add_argument("--mu", type=_partition_arg, default=None, help=f"|MU| at most {BUILD_MAX}")
     p.set_defaults(func=_cmd_catalan)
@@ -293,6 +296,8 @@ def run(argv: list[str] | None = None) -> int:
         ap.error(f"catalan: N {args.n} is above the limit {CATALAN_MAX} for the full polynomial")
     if args.command == "catalan" and args.mu is not None and sum(args.mu) > BUILD_MAX:
         ap.error(f"catalan: |MU| {sum(args.mu)} is above the limit {BUILD_MAX} for --mu")
+    if args.command == "catalan" and args.mu is not None and args.n > CATALAN_MU_N_MAX:
+        ap.error(f"catalan: N {args.n} is above the limit {CATALAN_MU_N_MAX} for --mu")
     return args.func(args)
 
 

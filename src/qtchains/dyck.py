@@ -31,15 +31,20 @@ def check_qdv(v) -> Vector:
     return t
 
 
+# the ASCII digits become the bytes 0..9
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_vector(text: str) -> Vector:
     """Parse digit notation like '0122011' or '01222(-1)001(-1)(-1)'.
 
-    A word of digits alone is read in one pass; any other word one number
-    at a time.
+    A word of ASCII digits alone is read in one bytes translation; any
+    other word, such as one holding '²' (a digit to str.isdigit but not to
+    int), one number at a time.
     """
     s = text.strip()
-    if s.isdigit():
-        return check_qdv(map(int, s))
+    if s.isascii() and s.isdigit():
+        return check_qdv(s.encode().translate(_FROM_DIGITS))
     out: list[int] = []
     i = 0
     while i < len(s):
@@ -159,15 +164,19 @@ def enumerate_deficit(k: int, d_max: int) -> list[Vector]:
 
     Ordered by dinv, then by class partition in reverse lexicographic order.
     Depth-first search over nonnegative vectors; appending an entry can only
-    grow both statistics, so overshooting branches are cut.  Any class here
-    has a representative of length at most d_max + k + 1.
+    grow both statistics, so overshooting branches are cut.  A reduced
+    vector longer than 1 has a 0 after its first entry, and appending that
+    0 adds every earlier entry >= 2 to the deficit, so a prefix without one
+    is cut once that count would pass k.  Any class here has a
+    representative of length at most d_max + k + 1.
     """
     cap = d_max + k + 1
     cnt = [0] * (cap + 3)
     found: dict[int, list[tuple[Partition, Vector]]] = {}
 
-    def go(v: list[int], maxv: int, d: int, kq: int) -> None:
-        if kq == k and (len(v) == 1 or v[1] == 0 or 0 in v[2:]):
+    def go(v: list[int], maxv: int, d: int, kq: int, zero: bool) -> None:
+        # zero: v has a 0 after its first entry
+        if kq == k and (len(v) == 1 or zero):
             vv = tuple(v)
             found.setdefault(d, []).append((partition_from_class(vv), vv))
         if len(v) >= cap:
@@ -187,14 +196,18 @@ def enumerate_deficit(k: int, d_max: int) -> list[Vector]:
             kk = kq + ge[x + 2] + rep[x]
             if kk > k:
                 continue
+            # with no 0 after the first entry, the 0 still to come adds the
+            # entries >= 2 before it to the deficit
+            if not zero and x and kk + ge[2] + (x >= 2) > k:
+                continue
             v.append(x)
             cnt[x] += 1
-            go(v, max(maxv, x), dd, kk)
+            go(v, max(maxv, x), dd, kk, zero or not x)
             cnt[x] -= 1
             v.pop()
 
     cnt[0] = 1
-    go([0], 0, 0, 0)
+    go([0], 0, 0, 0, False)
     cnt[0] = 0
     out: list[Vector] = []
     for d in sorted(found):

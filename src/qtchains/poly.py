@@ -49,26 +49,6 @@ class QtPolynomial:
     __repr__ = __str__
 
 
-def _gaussian_rows(top: int) -> list[list[list[int]]]:
-    """q-coefficient lists of the Gaussian binomials [a choose b]_q for a <= top.
-
-    Pascal's rule: [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
-    """
-    rows = [[[1]]]
-    for a in range(1, top + 1):
-        prev = rows[-1]
-        row = [[1]]
-        for b in range(1, a):
-            lo, hi = prev[b - 1], prev[b]
-            coeffs = lo + [0] * (b + len(hi) - len(lo))
-            for i, c in enumerate(hi, b):
-                coeffs[i] += c
-            row.append(coeffs)
-        row.append([1])
-        rows.append(row)
-    return rows
-
-
 def cat_n(n: int) -> QtPolynomial:
     """Sum of q^area t^dinv over the nonnegative length-n vectors.
 
@@ -79,36 +59,50 @@ def cat_n(n: int) -> QtPolynomial:
 
     with cat_n the sum of F_{n,k} over k.  The recursion weights a path by
     q^dinv t^area; the q,t-symmetry of the sum makes that the same
-    polynomial.  Each F_{m,k} is held as a dict from t exponent to a list
-    of q coefficients.
+    polynomial.  The Gaussian binomials come from Pascal's rule,
+    [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
+
+    Each q-polynomial is packed into one integer by Kronecker substitution,
+    q = 2^B with B = 2n + 2 bits per coefficient: a Gaussian binomial, and
+    each F_{m,k} as a dict from t exponent to its packed q coefficients.  A
+    product is one integer multiply and q^C(k,2) a shift by C(k,2) B bits.
+    This is exact because no digit ever carries: every coefficient, and
+    every partial sum of one, is a nonnegative count of at most Catalan(m)
+    < 4^m <= 2^(2n) < 2^B paths (a Gaussian coefficient is at most C(a, b)
+    < 2^n).  The result is unpacked once, at the end.
     """
     if n < 1:
         return QtPolynomial()
-    gauss = _gaussian_rows(n - 1)
-    f: list[dict[int, dict[int, list[int]]]] = [{}]
+    width = 2 * n + 2
+    gauss = [[1]]  # gauss[a][b]: [a choose b]_q, packed
+    for a in range(1, n):
+        prev = gauss[-1]
+        gauss.append([1] + [prev[b - 1] + (prev[b] << b * width) for b in range(1, a)] + [1])
+    f: list[dict[int, dict[int, int]]] = [{}]
     for m in range(1, n + 1):
-        row = {m: {0: [0] * comb(m, 2) + [1]}}
+        row = {m: {0: 1 << comb(m, 2) * width}}
         for k in range(1, m):
             j = m - k
-            shift = comb(k, 2)
-            acc: dict[int, list[int]] = {}
+            acc: dict[int, int] = {}
             for r in range(1, j + 1):
                 g = gauss[r + k - 1][r]
-                for te, qs in f[j][r].items():
-                    out = acc.setdefault(te + j, [])
-                    need = shift + len(qs) + len(g) - 1
-                    out.extend([0] * (need - len(out)))
-                    for a, x in enumerate(qs, shift):
-                        if x:
-                            for b, y in enumerate(g, a):
-                                out[b] += x * y
-            row[k] = acc
+                for te, x in f[j][r].items():
+                    acc[te] = acc.get(te, 0) + g * x
+            shift = comb(k, 2) * width
+            row[k] = {te + j: x << shift for te, x in acc.items()}
         f.append(row)
-    terms: dict[tuple[int, int], int] = {}
+    total: dict[int, int] = {}
     for part in f[n].values():
-        for te, qs in part.items():
-            for qe, c in enumerate(qs):
-                terms[(qe, te)] = terms.get((qe, te), 0) + c
+        for te, x in part.items():
+            total[te] = total.get(te, 0) + x
+    mask = (1 << width) - 1
+    terms: dict[tuple[int, int], int] = {}
+    for te, x in total.items():
+        qe = 0
+        while x:
+            terms[(qe, te)] = x & mask
+            x >>= width
+            qe += 1
     return QtPolynomial(terms)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import count
 from math import comb
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .dyck import (
     Vector, class_from_partition, dinv, mind, partition_dinv, partition_from_class, starts_00
@@ -41,6 +41,7 @@ class Chain:
         self.generators = [tuple(g) for g in generators]
         self._parts: list[Partition] = []  # partitions of the elements' classes
         self._starts: list[int] = []  # index of the first element of each segment walked
+        self._base_slot = ti_dinv(self.mu) - start_dinv  # index of the element at the base dinv
 
     def __repr__(self) -> str:
         return f"Chain({format_partition(self.mu)}, start={self.start_dinv})"
@@ -55,10 +56,7 @@ class Chain:
         RuntimeError.
         """
         parts = self._parts
-        if len(parts) >= need:
-            return
         last = len(self.generators) - 1
-        base_slot = ti_dinv(self.mu) - self.start_dinv
         while len(parts) < need:
             p = nu1_partition(parts[-1]) if parts else None
             seg = len(self._starts) - 1
@@ -67,13 +65,21 @@ class Chain:
                     raise RuntimeError(f"final segment of {self} stopped")
                 seg += 1
                 p = partition_from_class(self.generators[seg])
-            if seg < last and len(parts) >= base_slot:
+            if seg < last and len(parts) >= self._base_slot:
                 raise RuntimeError(
                     f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
                 )
             if seg == len(self._starts):
                 self._starts.append(len(parts))
             parts.append(p)
+
+    def walk(self) -> Iterator[Partition]:
+        """Partitions of the chain elements in order, each walked only when it is reached."""
+        parts = self._parts
+        for i in count():
+            if i == len(parts):
+                self._grow(i + 1)
+            yield parts[i]
 
     def partitions_upto(self, d: int) -> list[Partition]:
         """Partitions of the chain elements from start_dinv through dinv d, in order."""
@@ -361,14 +367,19 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
 
     Stops before the first element at or past the base dinv that is longer
     than n_max: the final orbit's reduced lengths never come back down.
+    The chain is walked one element at a time, so a final segment that
+    stops only past that element is never reached.
     """
     base_dinv = ti_dinv(chain.mu)
     out = []
-    for d in count(chain.start_dinv):
-        ln = mind(chain.partition(d))
+    d = chain.start_dinv
+    for p in chain.walk():
+        ln = mind(p)
         if ln > n_max and d >= base_dinv:
-            return out
+            break
         out.append((d, ln))
+        d += 1
+    return out
 
 
 def _path_sum(n: int, chain: Chain, lengths: list[tuple[int, int]]) -> QtPolynomial:
@@ -385,25 +396,51 @@ def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
     return _path_sum(n, chain, _lengths(chain, n))
 
 
+def _length_masks(
+    lengths: list[tuple[int, int]], n_max: int, bit: Callable[[int], int]
+) -> list[int]:
+    """For each n up to n_max, the OR of 1 << bit(d) over the elements of reduced length at most n."""
+    buckets = [0] * (n_max + 1)
+    for d, ln in lengths:
+        if ln <= n_max:
+            buckets[ln] |= 1 << bit(d)
+    masks = []
+    acc = 0
+    for b in buckets:
+        acc |= b
+        masks.append(acc)
+    return masks
+
+
 def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult]:
     """Path sums of the pair are mirror images in q and t, for each n up to n_max.
 
-    Each chain is walked once, to n_max; every n compares the two walks'
-    dinv lists, and the polynomials are built only for a failing row's
-    witness.
+    Each chain is walked once, to n_max, and every n compares two bit
+    masks; the polynomials are built only for a failing row's witness.
     """
     ours, theirs = _lengths(chain, n_max), _lengths(partner, n_max)
+    # Each walk's dinvs ascend without repeats and every term is
+    # q^(top - d) t^d with coefficient 1, so the chain's sum is the
+    # partner's swapped exactly when the chain's dinvs are top_star minus
+    # the partner's, and the tops agree unless both sums are 0.  The
+    # chain's dinv d is bit d - lo and the partner's e is bit hi - e, so
+    # top_star - e lands on the chain's bits after a shift by
+    # top_star - hi - lo.  Bits shifted out below 0 are values under lo,
+    # which the chain lacks: equal counts rule them out.
+    lo = chain.start_dinv
+    hi = theirs[-1][0] if theirs else 0
+    mine = _length_masks(ours, n_max, lambda d: d - lo)
+    rev = _length_masks(theirs, n_max, lambda e: hi - e)
     out: list[CheckResult] = []
     for n in range(1, n_max + 1):
-        # Each walk's dinvs ascend without repeats and every term is
-        # q^(top - d) t^d with coefficient 1, so the chain's sum is the
-        # partner's swapped exactly when the chain's dinvs are top_star
-        # minus the partner's, and the tops agree unless both sums are 0.
         top = comb(n, 2) - sum(chain.mu)
         top_star = comb(n, 2) - sum(partner.mu)
-        mine = [d for d, ln in ours if ln <= n]
-        ok = mine == [top_star - d for d, ln in reversed(theirs) if ln <= n] and (
-            top == top_star or not mine
+        m, r = mine[n], rev[n]
+        s = top_star - hi - lo
+        ok = (
+            (r << s if s >= 0 else r >> -s) == m
+            and m.bit_count() == r.bit_count()
+            and (top == top_star or not m)
         )
         witness = ""
         if not ok:

@@ -171,6 +171,62 @@ def catalan_terms_bruteforce(n: int) -> dict[tuple[int, int], int]:
     return terms
 
 
+def gaussian_rows(top: int) -> list[list[list[int]]]:
+    """q-coefficient lists of the Gaussian binomials [a choose b]_q for a <= top.
+
+    Pascal's rule: [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b].
+    """
+    rows = [[[1]]]
+    for a in range(1, top + 1):
+        prev = rows[-1]
+        row = [[1]]
+        for b in range(1, a):
+            lo, hi = prev[b - 1], prev[b]
+            coeffs = lo + [0] * (b + len(hi) - len(lo))
+            for i, c in enumerate(hi, b):
+                coeffs[i] += c
+            row.append(coeffs)
+        row.append([1])
+        rows.append(row)
+    return rows
+
+
+def cat_n_by_lists(n: int) -> QtPolynomial:
+    """cat_n by the Garsia-Haglund recursion on q-coefficient lists.
+
+    Each F_{m,k} is a dict from t exponent to a list of q coefficients, and
+    each product of q-polynomials is a convolution of two lists.
+    """
+    if n < 1:
+        return QtPolynomial()
+    gauss = gaussian_rows(n - 1)
+    f: list[dict[int, dict[int, list[int]]]] = [{}]
+    for m in range(1, n + 1):
+        row = {m: {0: [0] * comb(m, 2) + [1]}}
+        for k in range(1, m):
+            j = m - k
+            shift = comb(k, 2)
+            acc: dict[int, list[int]] = {}
+            for r in range(1, j + 1):
+                g = gauss[r + k - 1][r]
+                for te, qs in f[j][r].items():
+                    out = acc.setdefault(te + j, [])
+                    need = shift + len(qs) + len(g) - 1
+                    out.extend([0] * (need - len(out)))
+                    for a, x in enumerate(qs, shift):
+                        if x:
+                            for b, y in enumerate(g, a):
+                                out[b] += x * y
+            row[k] = acc
+        f.append(row)
+    terms: dict[tuple[int, int], int] = {}
+    for part in f[n].values():
+        for te, qs in part.items():
+            for qe, c in enumerate(qs):
+                terms[(qe, te)] = terms.get((qe, te), 0) + c
+    return QtPolynomial(terms)
+
+
 # ------------------------------------------------------------ step maps
 
 def leader(v: Vector) -> int:

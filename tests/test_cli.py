@@ -252,13 +252,25 @@ def test_catalan_limit_is_in_the_help(capsys):
         run(["catalan", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert f"at most {cli.CATALAN_MAX} without --mu" in out
+    assert f"at most {cli.CATALAN_MAX} without --mu and {cli.CATALAN_MU_N_MAX} with it" in out
     assert f"|MU| at most {cli.BUILD_MAX}" in out
 
 
 def test_catalan_chain_share_has_no_limit(capsys):
     assert run(["catalan", str(cli.CATALAN_MAX + 6), "--mu", "1"]) == 0
     assert lines(capsys)[0].startswith("q^")
+
+
+def test_catalan_chain_share_above_its_length_limit_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["catalan", str(cli.CATALAN_MU_N_MAX + 1), "--mu", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"catalan: N {cli.CATALAN_MU_N_MAX + 1} is above the limit {cli.CATALAN_MU_N_MAX} for --mu"
+        in captured.err
+    )
 
 
 def test_catalan_chain_share_above_the_build_limit_is_usage_error(capsys):

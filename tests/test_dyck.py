@@ -291,7 +291,9 @@ def test_qdv_needs_room():
 
 # ------------------------------------------------------------------ enumerator
 
-@pytest.mark.parametrize("k,d_max", [(0, 10), (1, 10), (2, 12), (3, 12), (4, 9)])
+@pytest.mark.parametrize(
+    "k,d_max", [(0, 10), (1, 10), (2, 12), (3, 12), (4, 9), (5, 15), (6, 21)]
+)
 def test_enumerate_deficit_matches_bruteforce(k, d_max):
     assert enumerate_deficit(k, d_max) == deficit_classes_bruteforce(k, d_max)
 

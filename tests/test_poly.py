@@ -3,7 +3,7 @@ from math import comb
 from qtchains.dyck import defc, dinv
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 
-from oracles import catalan_terms_bruteforce, dyck_vectors
+from oracles import cat_n_by_lists, catalan_terms_bruteforce, dyck_vectors
 
 
 def test_str_forms():
@@ -47,6 +47,16 @@ def test_cat_small():
 def test_cat_matches_bruteforce():
     for n in range(1, 12):
         assert cat_n(n) == QtPolynomial(catalan_terms_bruteforce(n)), n
+
+
+def test_cat_matches_list_recursion():
+    """The packed-integer recursion equals the one on coefficient lists, and
+    every coefficient stays below 2^(2n), so no packed digit of 2n + 2 bits
+    carries into the next."""
+    for n in range(17):
+        p = cat_n(n)
+        assert p == cat_n_by_lists(n), n
+        assert all(c < 1 << 2 * n for c in p.terms.values()), n
 
 
 def test_cat_symmetry():

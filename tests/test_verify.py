@@ -1,11 +1,12 @@
 import hashlib
+import random
 from math import comb
 
 import pytest
 
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, validate_collection
-from qtchains.dyck import dinv, mind, parse_vector
+from qtchains.dyck import class_from_partition, dinv, mind, parse_vector
 from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import nd
@@ -14,6 +15,7 @@ from qtchains.verify import (
     AmhVectors,
     Chain,
     CheckResult,
+    _lengths,
     amh_vectors,
     cat_n_mu,
     check_amh,
@@ -355,6 +357,62 @@ def test_opposite_on_every_ordered_pair_matches_per_n_oracle(coll12):
             if sum(chain.mu) != sum(partner.mu):
                 mixed += got
     assert any(r.ok for r in mixed) and any(not r.ok for r in mixed)
+
+
+@pytest.mark.parametrize("n_max,count", [(1, 200), (5, 200), (12, 200), (33, 8), (40, 4)])
+def test_opposite_masks_on_sampled_pairs_match_per_n_oracle(coll16, n_max, count):
+    """Seeded ordered pairs of chains of deficit at most 16, mostly of
+    different sizes, and stored pairs: the bit-mask rows and witnesses equal
+    the per-n polynomials'.  Mismatched pairs map partner dinvs below the
+    chain's start, where the shifted mask drops them."""
+    members = coll16.members()
+    rng = random.Random(n_max)
+    pairs = [(rng.choice(members), rng.choice(members)) for _ in range(count)]
+    pairs += rng.sample(list(coll16.pairs()), 4)
+    assert sum(sum(mu) != sum(star) for mu, star in pairs) > count // 2
+    for mu, star in pairs:
+        chain, partner = coll16.chain(mu), coll16.chain(star)
+        got = opposite_bruteforce(chain, partner, n_max)
+        assert got == opposite_per_n(chain, partner, n_max), (mu, star)
+        if coll16.pairing[mu] == star:
+            assert all(r.ok for r in got), (mu, star)
+
+
+def test_opposite_masks_with_negative_mapped_dinvs(coll16):
+    """A single-segment partner labelled 3 or 7 dinvs too high has elements
+    whose dinv maps to C(n,2) - |mu*| - d < 0 at small n: the same rows and
+    witnesses as the per-n oracle, in both roles."""
+    members = random.Random(5).sample(coll16.members(), 10)
+    negative = 0
+    for star in [(), (1,), (1, 1)]:
+        stored = coll16.chain(star)
+        assert len(stored.generators) == 1
+        for shift in (3, 7):
+            shifted = Chain(star, stored.start_dinv + shift, stored.generators)
+            negative += any(
+                ln <= n and d > comb(n, 2) - sum(star)
+                for n in range(1, 13)
+                for d, ln in _lengths(shifted, 12)
+            )
+            for mu in members:
+                chain = coll16.chain(mu)
+                for a, b in ((chain, shifted), (shifted, chain), (shifted, shifted)):
+                    assert opposite_bruteforce(a, b, 12) == opposite_per_n(a, b, 12), (mu, star, shift)
+    assert negative == 6
+
+
+def test_lengths_stop_before_a_final_segment_stops():
+    """The 1^2 chain with its generator replaced by the class of 2^21^2,
+    whose first-order segment has reduced lengths 5, 6, 6, 6, 6, 6, 7 and
+    then stops: the walk reaches only the elements _lengths reads, so it
+    returns below that stop and raises past it."""
+    chain = Chain((1, 1), 2, [class_from_partition((2, 2, 1, 1))])
+    assert _lengths(chain, 5) == [(2, 5)]
+    assert _lengths(chain, 6) == [(2, 5)] + [(d, 6) for d in range(3, 8)]
+    assert opposite_bruteforce(chain, chain, 6) == opposite_per_n(chain, chain, 6)
+    assert cat_n_mu(6, chain) == QtPolynomial({(comb(6, 2) - 2 - d, d): 1 for d in range(2, 8)})
+    with pytest.raises(RuntimeError, match="final segment of Chain\\(1\\^2, start=2\\) stopped"):
+        _lengths(chain, 7)
 
 
 def _rows_or_error(check, chain: Chain, partner: Chain, n_max: int):
