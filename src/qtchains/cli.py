@@ -29,9 +29,10 @@ CATALAN_MAX = 24  # `catalan N` for the full polynomial
 TAIL_COUNT_MAX = 40_000  # `tail --count`
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
 BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
-CATALAN_MU_N_MAX = 340  # N for `catalan N --mu MU`; the walk to length N grows as N^3
-OPPOSITE_MAX = 40  # `verify --opposite N`, on a deficit-16 collection
+CATALAN_MU_N_MAX = 900  # N for `catalan N --mu MU`; the share has about N^2/2 terms
+OPPOSITE_MAX = 150  # `verify --opposite N`, on a deficit-16 collection
 STATS_LEN_MAX = 100_000  # reduced length of a `stats` word; output grows with it
+TI2_MAX = 600  # |MU| for `ti2 MU`; slowest for one long row or a hook
 
 
 def _partition_arg(word: str) -> Partition:
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("ti2", help="extended orbit base and its stage vectors")
-    p.add_argument("mu", type=_partition_arg)
+    p.add_argument("mu", type=_partition_arg, help=f"a partition, |MU| at most {TI2_MAX}")
     p.set_defaults(func=_cmd_ti2)
 
     p = sub.add_parser("flagpole", help="counts of pole partitions by size")
@@ -292,6 +293,8 @@ def run(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "stop", None) is not None and args.stop < args.start:
         ap.error(f"{args.command}: STOP {args.stop} is below START {args.start}")
+    if args.command == "ti2" and sum(args.mu) > TI2_MAX:
+        ap.error(f"ti2: |MU| {sum(args.mu)} is above the limit {TI2_MAX}")
     if args.command == "catalan" and args.mu is None and args.n > CATALAN_MAX:
         ap.error(f"catalan: N {args.n} is above the limit {CATALAN_MAX} for the full polynomial")
     if args.command == "catalan" and args.mu is not None and sum(args.mu) > BUILD_MAX:

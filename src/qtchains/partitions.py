@@ -8,16 +8,6 @@ from typing import Iterator
 Partition = tuple[int, ...]
 
 
-def as_partition(parts) -> Partition:
-    """Validate weakly decreasing positive parts and return them as a tuple."""
-    t = tuple(int(a) for a in parts)
-    if any(a <= 0 for a in t):
-        raise ValueError(f"parts must be positive: {t}")
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {t}")
-    return t
-
-
 def read_number(text: str, i: int) -> tuple[int, int]:
     """The digit or parenthesized integer at text[i], and the index after it."""
     c = text[i]
@@ -33,14 +23,15 @@ def parse_partition(text: str) -> Partition:
     """Parse word notation like '531^4' or '(12)84^2' into a part tuple.
 
     '0' denotes the empty partition; an empty word is an error.  Parts
-    above 9 are parenthesized; an exponent must be positive.
+    above 9 are parenthesized; an exponent must be positive.  Parts and
+    exponents are checked run by run, and the parts are expanded once.
     """
     s = text.strip()
     if not s:
         raise ValueError(f"empty partition word {text!r}; the empty partition is '0'")
     if s == "0":
         return ()
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []
     i = 0
     while i < len(s):
         val, i = read_number(s, i)
@@ -51,8 +42,15 @@ def parse_partition(text: str) -> Partition:
             mult, i = read_number(s, i + 1)
             if mult < 1:
                 raise ValueError(f"exponent {mult} is not positive in {text!r}")
-        parts.extend([val] * mult)
-    return as_partition(parts)
+        if val <= 0:
+            raise ValueError(f"part {val} is not positive in {text!r}")
+        if runs and runs[-1][0] < val:
+            raise ValueError(f"part {val} after {runs[-1][0]}: parts not weakly decreasing in {text!r}")
+        runs.append((val, mult))
+    parts: list[int] = []
+    for val, mult in runs:
+        parts += [val] * mult
+    return tuple(parts)
 
 
 def format_partition(p: Partition) -> str:

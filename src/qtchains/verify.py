@@ -363,18 +363,32 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
 # ---------------------------------------------------------------- path sums
 
 def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
-    """(dinv, reduced length) of each chain element, in order, read off its partition.
+    """(dinv, reduced length) of each chain element, in order.
 
     Stops before the first element at or past the base dinv that is longer
     than n_max: the final orbit's reduced lengths never come back down.
-    The chain is walked one element at a time, so a final segment that
-    stops only past that element is never reached.
+    The chain is walked one element at a time up to its base dinv.  When
+    the element there is the base class of mu, the rest of the chain is
+    that class's orbit (a non-final segment running there raises, and the
+    orbit never stops), whose lengths are the staircase: ti_mind(mu) once,
+    then ti_mind(mu) + j taken ti_mind(mu) + j - 1 times.  Otherwise the
+    walk goes on, so a final segment that stops only past the last element
+    read is never reached.
     """
     base_dinv = ti_dinv(chain.mu)
+    base = partition_from_class(ti(chain.mu))
     out = []
     d = chain.start_dinv
     for p in chain.walk():
         ln = mind(p)
+        if d == base_dinv and p == base:
+            reps = 1
+            while ln <= n_max:
+                out += [(e, ln) for e in range(d, d + reps)]
+                d += reps
+                reps = ln
+                ln += 1
+            break
         if ln > n_max and d >= base_dinv:
             break
         out.append((d, ln))

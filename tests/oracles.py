@@ -460,6 +460,26 @@ def antipode_inverse(coll: ChainCollection, v: Vector) -> Vector | None:
 
 # ------------------------------------------------------------ path sums
 
+def lengths_by_walk(chain: Chain, n_max: int) -> list[tuple[int, int]]:
+    """(dinv, reduced length) of each chain element, in order, read off its partition.
+
+    Stops before the first element at or past the base dinv that is longer
+    than n_max: the final orbit's reduced lengths never come back down.
+    The chain is walked one element at a time, so a final segment that
+    stops only past that element is never reached.
+    """
+    base_dinv = ti_dinv(chain.mu)
+    out = []
+    d = chain.start_dinv
+    for p in chain.walk():
+        ln = mind(p)
+        if ln > n_max and d >= base_dinv:
+            break
+        out.append((d, ln))
+        d += 1
+    return out
+
+
 def cat_n_mu_by_lookup(n: int, chain: Chain) -> QtPolynomial:
     """cat_n_mu for one n, looking the chain's elements up one dinv at a time."""
     k = sum(chain.mu)

@@ -256,9 +256,26 @@ def test_catalan_limit_is_in_the_help(capsys):
     assert f"|MU| at most {cli.BUILD_MAX}" in out
 
 
-def test_catalan_chain_share_has_no_limit(capsys):
+def test_catalan_chain_share_runs_past_the_full_polynomial_limit(capsys):
     assert run(["catalan", str(cli.CATALAN_MAX + 6), "--mu", "1"]) == 0
     assert lines(capsys)[0].startswith("q^")
+
+
+def test_ti2_above_its_limit_is_usage_error(capsys):
+    for word in (f"({cli.TI2_MAX + 1})", f"1^({cli.TI2_MAX})1", f"21^({cli.TI2_MAX - 1})"):
+        with pytest.raises(SystemExit) as exc:
+            run(["ti2", word])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ti2: |MU| {sum(parse_partition(word))} is above the limit {cli.TI2_MAX}" in captured.err
+
+
+def test_ti2_limit_is_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["ti2", "--help"])
+    assert exc.value.code == 0
+    assert f"|MU| at most {cli.TI2_MAX}" in capsys.readouterr().out
 
 
 def test_catalan_chain_share_above_its_length_limit_is_usage_error(capsys):

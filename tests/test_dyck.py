@@ -158,6 +158,13 @@ def test_bad_partition_word(word):
         parse_partition(word)
 
 
+@pytest.mark.parametrize("word", ["1^(1000000000000)2", "0^(1000000000000)", "2^(1000000000000)0"])
+def test_bad_partition_word_is_rejected_before_its_runs_expand(word):
+    # a trillion parts could not be held: the runs are checked first
+    with pytest.raises(ValueError):
+        parse_partition(word)
+
+
 def test_reduce_goldens():
     assert reduce((0, -1, 0)) == (0, 1, 0, 1)
     assert reduce((0, 1, 2, 3)) == (0,)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qtchains import builder, verify
-from qtchains.builder import ChainCollection, _disjoint_fault, validate_collection
+from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, validate_collection
 from qtchains.dyck import class_from_partition, dinv, mind, parse_vector
 from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
@@ -25,7 +25,7 @@ from qtchains.verify import (
     report_lines,
 )
 
-from oracles import cat_n_mu_by_lookup, chain_amh, lift, opposite_per_n
+from oracles import cat_n_mu_by_lookup, chain_amh, lengths_by_walk, lift, opposite_per_n
 
 
 GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
@@ -442,3 +442,69 @@ def test_opposite_on_damaged_chains_matches_per_n_oracle(coll12):
     failing = [o for o in outcomes if isinstance(o, list) and not all(r.ok for r in o)]
     errors = [o for o in outcomes if isinstance(o, str)]
     assert failing and errors
+
+
+LENGTH_NS = (1, 3, 12, 32, 40)
+
+
+def _copy(chain: Chain) -> Chain:
+    return Chain(chain.mu, chain.start_dinv, chain.generators)
+
+
+def test_lengths_match_the_walk_on_stored_chains(base_coll, coll16):
+    """Every chain built to deficit 16, and every chain of the generalized
+    collection to deficit 12: the closed-form final orbit gives the walk's
+    (dinv, length) pairs, and the chain holds no element past its base dinv."""
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for mu in coll.members():
+            chain = coll.chain(mu)
+            ours, walked = _copy(chain), _copy(chain)
+            for n in LENGTH_NS:
+                assert _lengths(ours, n) == lengths_by_walk(walked, n), (mu, n)
+            assert len(ours._parts) <= ours._base_slot + 1, mu
+
+
+def _lengths_or_error(lengths, chain: Chain, n_max: int):
+    try:
+        return lengths(chain, n_max)
+    except RuntimeError as e:
+        return str(e)
+
+
+def test_lengths_match_the_walk_on_damaged_chains(coll12):
+    """Two adjacent generators of one chain of deficit at most 8 swapped, and
+    the single-segment chains of 0, 1 and 11 started 3 or 7 dinvs too high
+    (they never reach their base dinv) or too low (a later orbit class sits
+    at the base dinv): the walk's pairs, or its error."""
+    damaged = []
+    for mu in coll12.members():
+        chain = coll12.chain(mu)
+        if sum(mu) > 8:
+            continue
+        for i in range(len(chain.generators) - 1):
+            gens = list(chain.generators)
+            gens[i], gens[i + 1] = gens[i + 1], gens[i]
+            damaged.append((mu, chain.start_dinv, gens))
+    for mu in [(), (1,), (1, 1)]:
+        chain = coll12.chain(mu)
+        assert len(chain.generators) == 1
+        damaged += [(mu, chain.start_dinv + shift, chain.generators) for shift in (-7, -3, 3, 7)]
+    outcomes = []
+    for mu, start, gens in damaged:
+        for n in LENGTH_NS:
+            got, want = (_lengths_or_error(f, Chain(mu, start, gens), n) for f in (_lengths, lengths_by_walk))
+            assert got == want, (mu, start, gens, n)
+            outcomes.append(got)
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(isinstance(o, list) and o for o in outcomes)
+
+
+def test_share_keeps_only_the_finite_part(base_coll):
+    """cat_n_mu at N = 340 on a fresh chain of 1 reads its orbit in closed
+    form: the chain holds no partition past its base dinv.  The chain starts
+    at its base class, of length 3, so the share has one term of length 3
+    and L - 1 of each length L = 4..340."""
+    chain = _copy(base_coll.chain((1,)))
+    share = cat_n_mu(340, chain)
+    assert len(chain._parts) <= chain._base_slot + 1
+    assert len(share.terms) == 1 + sum(range(3, 340))
