@@ -415,9 +415,9 @@ def test_lengths_stop_before_a_final_segment_stops():
         _lengths(chain, 7)
 
 
-def _rows_or_error(check, chain: Chain, partner: Chain, n_max: int):
+def _result_or_error(f, *args):
     try:
-        return check(chain, partner, n_max)
+        return f(*args)
     except RuntimeError as e:
         return str(e)
 
@@ -434,7 +434,7 @@ def test_opposite_on_damaged_chains_matches_per_n_oracle(coll12):
             gens = list(chain.generators)
             gens[i], gens[i + 1] = gens[i + 1], gens[i]
             got, want = (
-                _rows_or_error(check, Chain(mu, chain.start_dinv, gens), partner, 14)
+                _result_or_error(check, Chain(mu, chain.start_dinv, gens), partner, 14)
                 for check in (opposite_bruteforce, opposite_per_n)
             )
             assert got == want, (mu, i)
@@ -464,13 +464,6 @@ def test_lengths_match_the_walk_on_stored_chains(base_coll, coll16):
             assert len(ours._parts) <= ours._base_slot + 1, mu
 
 
-def _lengths_or_error(lengths, chain: Chain, n_max: int):
-    try:
-        return lengths(chain, n_max)
-    except RuntimeError as e:
-        return str(e)
-
-
 def test_lengths_match_the_walk_on_damaged_chains(coll12):
     """Two adjacent generators of one chain of deficit at most 8 swapped, and
     the single-segment chains of 0, 1 and 11 started 3 or 7 dinvs too high
@@ -492,7 +485,7 @@ def test_lengths_match_the_walk_on_damaged_chains(coll12):
     outcomes = []
     for mu, start, gens in damaged:
         for n in LENGTH_NS:
-            got, want = (_lengths_or_error(f, Chain(mu, start, gens), n) for f in (_lengths, lengths_by_walk))
+            got, want = (_result_or_error(f, Chain(mu, start, gens), n) for f in (_lengths, lengths_by_walk))
             assert got == want, (mu, start, gens, n)
             outcomes.append(got)
     assert any(isinstance(o, str) for o in outcomes)
