@@ -24,7 +24,7 @@ from .dyck import (
     dinv,
     enumerate_deficit,
     format_vector,
-    parse_vector,
+    parse_vectors,
     partition_dinv,
     partition_from_class,
     qdv_from_partition,
@@ -231,10 +231,11 @@ def search_base_collection() -> ChainCollection:
 
 _FORMAT = 1
 _RECORD_TYPES = {"mu": str, "partner": str, "start": int, "generators": list}
+_CERTIFICATE_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True), built once
 
 
 def _certificate(rec: dict) -> str:
-    blob = json.dumps({key: rec[key] for key in _RECORD_TYPES}, sort_keys=True)
+    blob = _CERTIFICATE_JSON.encode({key: rec[key] for key in _RECORD_TYPES})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -270,6 +271,13 @@ def load_collection(path: str | Path) -> ChainCollection:
         raise ValueError(f"k_max {payload['k_max']} is negative")
     chains: dict[Partition, Chain] = {}
     pairing: dict[Partition, Partition] = {}
+    words: dict[str, Partition] = {}  # each partition word parsed once; partners repeat the mus
+
+    def partition(word: str) -> Partition:
+        if word not in words:
+            words[word] = parse_partition(word)
+        return words[word]
+
     for rec in payload["chains"]:
         if not (
             isinstance(rec, dict)
@@ -279,13 +287,13 @@ def load_collection(path: str | Path) -> ChainCollection:
             raise ValueError(f"malformed record {json.dumps(rec)[:60]}")
         if rec.get("certificate") != _certificate(rec):
             raise ValueError(f"corrupt record for {rec['mu']}")
-        mu = parse_partition(rec["mu"])
+        mu = partition(rec["mu"])
         if mu in chains:
             raise ValueError(f"repeated record for {rec['mu']}")
         if sum(mu) > payload["k_max"]:
             raise ValueError(f"{rec['mu']} has deficit {sum(mu)}, above k_max {payload['k_max']}")
-        chains[mu] = Chain(mu, rec["start"], [parse_vector(g) for g in rec["generators"]])
-        pairing[mu] = parse_partition(rec["partner"])
+        chains[mu] = Chain(mu, rec["start"], parse_vectors(rec["generators"]))
+        pairing[mu] = partition(rec["partner"])
     for mu, star in pairing.items():
         if star not in chains or pairing[star] != mu:
             raise ValueError(f"pairing is not an involution at {format_partition(mu)}")

@@ -27,12 +27,13 @@ from .verify import cat_n_mu, report_lines
 # Stated budgets, each about 3 s in a cold process on a 2-vCPU host.
 CATALAN_MAX = 24  # `catalan N` for the full polynomial
 TAIL_COUNT_MAX = 40_000  # `tail --count`
+TAIL_MU_MAX = 5_000  # |MU| for `tail MU`; a length plateau holds about |MU|^2 entries
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
 BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
 CATALAN_MU_N_MAX = 900  # N for `catalan N --mu MU`; the share has about N^2/2 terms
 OPPOSITE_MAX = 150  # `verify --opposite N`, on a deficit-16 collection
 STATS_LEN_MAX = 100_000  # reduced length of a `stats` word; output grows with it
-TI2_MAX = 600  # |MU| for `ti2 MU`; slowest for one long row or a hook
+TI2_MAX = 2_000  # |MU| for `ti2 MU`; slowest for a hook with a long leg
 
 
 def _partition_arg(word: str) -> Partition:
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("tail", help="elements of the orbit indexed by a partition")
-    p.add_argument("mu", type=_partition_arg)
+    p.add_argument("mu", type=_partition_arg, help=f"a partition, |MU| at most {TAIL_MU_MAX}")
     p.add_argument(
         "--count",
         type=partial(_count_arg, limit=TAIL_COUNT_MAX),
@@ -293,6 +294,8 @@ def run(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "stop", None) is not None and args.stop < args.start:
         ap.error(f"{args.command}: STOP {args.stop} is below START {args.start}")
+    if args.command == "tail" and sum(args.mu) > TAIL_MU_MAX:
+        ap.error(f"tail: |MU| {sum(args.mu)} is above the limit {TAIL_MU_MAX}")
     if args.command == "ti2" and sum(args.mu) > TI2_MAX:
         ap.error(f"ti2: |MU| {sum(args.mu)} is above the limit {TI2_MAX}")
     if args.command == "catalan" and args.mu is None and args.n > CATALAN_MAX:

@@ -53,6 +53,58 @@ def parse_vector(text: str) -> Vector:
     return check_qdv(out)
 
 
+def _parse_digit_words(words: list[str]) -> list[Vector] | None:
+    """The vectors of words of ASCII digits alone, read in one pass, or None
+    when some word is empty, holds another character, starts above 0 or rises
+    by more than 1.
+
+    The words are joined with commas; a word holding a comma shows as a
+    surplus separator.  The rises are checked on all byte lanes at once: lane
+    i of B + 0x81..81 - A is 0x80 + 1 + b_i - a_i, which keeps its high bit
+    exactly when a_i <= b_i + 1 and never borrows from the next lane.
+    """
+    if not words:
+        return []
+    s = ",".join(words)
+    seps = len(words) - 1
+    if not (s.isascii() and s.startswith("0") and s.count(",") == seps and s.count(",0") == seps):
+        return None
+    raw = s.encode()
+    if not raw.replace(b",", b"").isdigit():
+        return None
+    values = raw.translate(_FROM_DIGITS)  # the commas stay b","
+    lanes = values.replace(b",", b"\0")  # a word's first entry, 0, never rises from a comma
+    m = len(lanes) - 1
+    rises = (
+        int.from_bytes(lanes[:-1], "big")
+        + int.from_bytes(b"\x81" * m, "big")
+        - int.from_bytes(lanes[1:], "big")
+    )
+    high = int.from_bytes(b"\x80" * m, "big")
+    if rises & high != high:
+        return None
+    return list(map(tuple, values.split(b",")))
+
+
+def parse_vectors(words: list[str]) -> list[Vector]:
+    """parse_vector of each word, with the same values and the same first error.
+
+    The words of ASCII digits alone are read together in one pass; any other
+    word, such as '0(10)' or ' 012 ', goes through parse_vector in place.
+    When the one pass finds a bad word, every word is read again one at a
+    time, so the first bad word raises parse_vector's ValueError.
+    """
+    out = _parse_digit_words(words)
+    if out is not None:
+        return out
+    plain = [w.isascii() and w.isdigit() for w in words]
+    fast = _parse_digit_words([w for w, ok in zip(words, plain) if ok])
+    if fast is None:
+        return [parse_vector(w) for w in words]
+    read = iter(fast)
+    return [next(read) if ok else parse_vector(w) for w, ok in zip(words, plain)]
+
+
 # entries 0..9 become their digits; any other byte becomes 0xff, which ascii rejects
 _DIGITS = bytes(range(48, 58)) + b"\xff" * 246
 

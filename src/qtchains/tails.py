@@ -9,7 +9,9 @@ under the combined map extends the first-order orbit downward.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -17,7 +19,7 @@ from .dyck import Vector, class_from_partition, dinv, partition_from_class, redu
 from .partitions import (
     Partition, count_partitions_max, multiplicities, partition_from_multiplicities, partitions_of
 )
-from .steps import nd1_partition, nd2_partition, nu1_partition, nu2_partition
+from .steps import nd2_partition, nu1_partition, nu2_partition
 
 
 def b_word(mu: Partition) -> Vector:
@@ -190,19 +192,38 @@ def absorption_counts(k: int) -> tuple[int, int]:
 
 # ------------------------------------------------------------ second order
 
+def _nd1_stretch(p: Partition) -> Partition:
+    """Apply nd1_partition to p for as long as it is defined.
+
+    The parts are held in a deque, each stored less a running lift, so
+    dropping the first part and raising the rest is one pop and one
+    increment, and padding with ones costs one entry a part.
+    """
+    parts = deque(p)
+    lift = 0
+    ell = len(p)
+    while ell and parts[0] + lift >= ell:
+        first = parts.popleft() + lift
+        lift += 1
+        parts.extend(repeat(1 - lift, first - ell))
+        ell = first - 1
+    return tuple([a + lift for a in parts])
+
+
 @lru_cache(maxsize=None)
 def ti2(mu: Partition) -> Vector:
     """Base class of the extended orbit: iterate the predecessor map to a fixpoint.
 
-    Both steps run on partitions; the class is built only for the result.
+    Both steps run on partitions: each stretch of first-order steps runs in
+    _nd1_stretch, and the second-order step reads the partition it leaves.
+    The class is built only for the result.
     """
     p = partition_from_class(ti(mu))
     while True:
-        q = nd1_partition(p)
+        p = _nd1_stretch(p)
+        q = nd2_partition(p)
         if q is None:
-            q = nd2_partition(p)
-            if q is None:
-                return class_from_partition(p)
+            return class_from_partition(p)
         p = q
 
 

@@ -16,6 +16,7 @@ from qtchains.dyck import (
     enumerate_deficit,
     format_vector,
     mind,
+    parse_vector,
     partition_from_class,
     qdv_from_partition,
     reduce,
@@ -106,6 +107,11 @@ def parse_vector_by_char(text: str) -> Vector:
     if not out or out[0] != 0 or any(out[i + 1] > out[i] + 1 for i in range(len(out) - 1)):
         raise ValueError(f"not a quasi-Dyck vector: {tuple(out)}")
     return tuple(out)
+
+
+def parse_vectors_by_word(words: list[str]) -> list[Vector]:
+    """parse_vectors reading one word at a time."""
+    return [parse_vector(w) for w in words]
 
 
 def format_vector_by_join(v: Vector) -> str:

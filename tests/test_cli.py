@@ -271,6 +271,30 @@ def test_ti2_above_its_limit_is_usage_error(capsys):
         assert f"ti2: |MU| {sum(parse_partition(word))} is above the limit {cli.TI2_MAX}" in captured.err
 
 
+def test_tail_above_its_limit_is_usage_error(capsys):
+    """A partition above the tail limit is refused before any orbit element
+    is built; the parse alone of '1^(3000000)' takes a fraction of a second."""
+    for word in (f"1^({cli.TAIL_MU_MAX + 1})", f"({cli.TAIL_MU_MAX})1", "1^(3000000)"):
+        with pytest.raises(SystemExit) as exc:
+            run(["tail", word, "--count", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tail: |MU| {sum(parse_partition(word))} is above the limit {cli.TAIL_MU_MAX}" in captured.err
+
+
+def test_tail_at_its_limit_runs(capsys):
+    assert run(["tail", f"({cli.TAIL_MU_MAX})", "--count", "1"]) == 0
+    assert len(lines(capsys)) == 1
+
+
+def test_tail_limit_is_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", "--help"])
+    assert exc.value.code == 0
+    assert f"|MU| at most {cli.TAIL_MU_MAX}" in capsys.readouterr().out
+
+
 def test_ti2_limit_is_in_the_help(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["ti2", "--help"])
@@ -481,6 +505,33 @@ def test_malformed_file_is_a_load_error(tmp_path, capsys, command, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cannot load {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("0,0", "unexpected ',' in '0,0'"),
+        ("0013", "not a quasi-Dyck vector: (0, 0, 1, 3)"),
+        ("", "not a quasi-Dyck vector: ()"),
+    ],
+    ids=["comma", "rise-of-2", "empty"],
+)
+@pytest.mark.parametrize("mu", ["21", "421^7"])  # digit words only; a parenthesized word first
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_bad_generator_in_a_certified_record(tmp_path, capsys, coll16, command, mu, word, message):
+    """A bad generator word that passes the certificate check fails the load
+    with the message of that word read alone."""
+    payload = builder.collection_payload(coll16)
+    rec = next(r for r in payload["chains"] if r["mu"] == mu)
+    assert ("(" in rec["generators"][0]) == (mu == "421^7")
+    rec["generators"][len(rec["generators"]) // 2] = word
+    rec["certificate"] = _certificate(rec)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot load {bad}: {message}\n"
 
 
 def test_certified_record_loads(tmp_path, capsys):

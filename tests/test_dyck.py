@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import comb
 
+from qtchains.builder import collection_payload, extend_all
 from qtchains.dyck import (
     area,
     class_from_partition,
@@ -15,6 +16,7 @@ from qtchains.dyck import (
     is_qdv,
     mind,
     parse_vector,
+    parse_vectors,
     partition_dinv,
     partition_from_class,
     qdv_from_partition,
@@ -32,6 +34,7 @@ from oracles import (
     is_reduced,
     lift,
     parse_vector_by_char,
+    parse_vectors_by_word,
     partition_dinv_by_cells,
     reduce_by_lifting,
     unlift,
@@ -136,6 +139,57 @@ def test_parse_vector_matches_per_character_reader():
     assert sum(w.strip().isdigit() for w in parsed) > 100
     assert sum(not w.strip().isdigit() for w in parsed) > 100
     assert {ValueError} == {o for o in outcomes if not isinstance(o, tuple)}
+
+
+def _outcome_and_message(parse, words):
+    try:
+        return parse(words)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ODD_WORDS = ["", " 012 ", "0²", "0(10)", "00(-1)", "02", "1", "0,0", "01,0", "0013", "0,", ","]
+
+
+def test_parse_vectors_matches_per_word_reader():
+    """Lists of words give parse_vector's values, or the exception type and
+    message of the first bad word.  The one-pass read joins words with
+    commas, so a word holding a comma must still raise on that comma."""
+    rng = random.Random(19)
+    pieces = list("0001112223(-)²٣x ,") + ["(-1)", "(-2)", "(1)", "(10)"] * 3
+
+    def word():
+        if rng.random() < 0.1:
+            return rng.choice(("", "0")) + "".join(rng.choices(pieces, k=rng.randrange(10)))
+        v = [0]  # a digit word rising by at most 1, one entry in ten of them then reset
+        for _ in range(rng.randrange(12)):
+            v.append(rng.randint(0, min(v[-1] + 1, 9)))
+        if rng.random() < 0.1:
+            v[rng.randrange(len(v))] = rng.randrange(10)
+        return "".join(map(str, v))
+
+    lists = [[], *([w] for w in ODD_WORDS), ["0", "01", "012"], ["0", "0(10)", "012"]]
+    lists += [[w, "0123", "01"] for w in ODD_WORDS] + [["0", "01", w] for w in ODD_WORDS]
+    lists += [[word() for _ in range(rng.randrange(1, 8))] for _ in range(5_000)]
+    outcomes = [_outcome_and_message(parse_vectors, ws) for ws in lists]
+    assert outcomes == [_outcome_and_message(parse_vectors_by_word, ws) for ws in lists]
+    assert sum(isinstance(o, list) for o in outcomes) > 500
+    assert sum(not isinstance(o, list) for o in outcomes) > 500
+    assert {ValueError} == {o[0] for o in outcomes if not isinstance(o, list)}
+
+
+@pytest.mark.parametrize("mode", ["flagpole", "generalized"])
+def test_parse_vectors_reads_every_stored_record(base_coll, coll16, mode):
+    """Every record of the deficit-16 file and of the generalized deficit-12
+    file reads as one word at a time; 55 deficit-16 records hold a
+    parenthesized word."""
+    coll = coll16 if mode == "flagpole" else extend_all(base_coll, 12, mode="generalized")
+    records = collection_payload(coll)["chains"]
+    assert len(records) == (241 if mode == "flagpole" else 95)
+    for rec in records:
+        assert parse_vectors(rec["generators"]) == parse_vectors_by_word(rec["generators"])
+    mixed = sum("(" in "".join(rec["generators"]) for rec in records)
+    assert mixed == (55 if mode == "flagpole" else 0)
 
 
 @settings(max_examples=300)

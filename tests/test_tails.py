@@ -210,6 +210,13 @@ def test_extended_base_matches_class_walk():
             assert ti2(mu) == ti2_by_nd(mu), mu
 
 
+@pytest.mark.parametrize("word", ["(60)", "1^(60)", "(40)1^(20)", "(11)(10)987654321"])
+def test_extended_base_matches_class_walk_on_large_shapes(word):
+    """Long first-order stretches: a row, a column, a hook and a staircase."""
+    mu = parse_partition(word)
+    assert ti2(mu) == ti2_by_nd(mu)
+
+
 def tail2_classes(mu, count: int) -> list:
     """The first count classes of the extended orbit; tail2_iter yields partitions."""
     return [class_from_partition(p) for p in islice(tail2_iter(mu), count)]
