@@ -48,7 +48,7 @@ from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
 
 
 BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
-SEARCH_NODE_MAX = 800_000  # tilings one search_chains call may place; about 3 s cold
+SEARCH_NODE_MAX = 6_000  # tilings one search_chains call may place; about 3 s cold
 
 Segment = tuple[int, tuple[Vector, ...]]  # a maximal first-order segment: start dinv, classes
 
@@ -78,29 +78,6 @@ class ChainCollection:
 
 
 # ------------------------------------------------------------------- search
-
-def _tilings(segments: list[Segment], lo: int, hi: int, table: dict) -> list[tuple[int, ...]]:
-    """The segment-index tuples that tile dinvs lo..hi-1, in the order a backward
-    depth-first search from hi meets them; table memoizes (lo, hi)."""
-    if (lo, hi) not in table:
-        table[lo, hi] = [()] if hi == lo else [
-            t + (i,)
-            for i, (s, seg) in enumerate(segments)
-            if s + len(seg) == hi and s >= lo
-            for t in _tilings(segments, lo, s, table)
-        ]
-    return table[lo, hi]
-
-
-def _matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
-    """Every involution of pool: the head self-paired first, then with each later partner."""
-    if not pool:
-        yield {}
-        return
-    for other in pool:
-        for m in _matchings([x for x in pool[1:] if x != other]):
-            yield {pool[0]: other, other: pool[0], **m}
-
 
 def _search_setup(
     k: int,
@@ -141,82 +118,79 @@ def _search_setup(
 
 
 class _Search:
-    """Per-call state of search_chains: the segment table, the tilings per
-    (start, base dinv), each Chain by its key (mu, start, tiles), each
-    pair's verdict, and the number of tilings placed."""
+    """Per-call state of search_chains: the segments, the indices of the
+    segments ending at each dinv, and the number of tilings placed."""
 
     def __init__(self, k: int):
         self.k = k
         self.mus, self.base, self.target, self.segments = _search_setup(k)
-        self.table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self.chains: dict[tuple, Chain] = {}
-        self.verdicts: dict[tuple, bool] = {}
+        self.ending: dict[int, list[int]] = {}
+        for i, (s, seg) in enumerate(self.segments):
+            self.ending.setdefault(s + len(seg), []).append(i)
         self.placed = 0
 
-    def chain(self, key: tuple) -> Chain:
-        if key not in self.chains:
-            mu, start, tiles = key
-            gens = [self.segments[i][1][0] for i in tiles] + [self.base[mu]]
-            self.chains[key] = Chain(mu, start, gens)
-        return self.chains[key]
+    def tilings(self, lo: int, hi: int, free: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        """The tilings of dinvs lo..hi-1 by free segments, in the order a
+        backward depth-first search from hi meets them."""
+        if hi == lo:
+            yield ()
+            return
+        for i in self.ending.get(hi, ()):
+            s = self.segments[i][0]
+            if s >= lo and i in free:
+                for t in self.tilings(lo, s, free):
+                    yield t + (i,)
 
-    def passes(self, a: tuple, b: tuple) -> bool:
-        """Whether the chains of keys a and b pass check_pair, in coll.pairs() order."""
-        if b[0] < a[0]:
-            a, b = b, a
-        if (a, b) not in self.verdicts:
-            rows = check_pair(self.chain(a), self.chain(b), self.k)
-            self.verdicts[a, b] = all(r.ok for _, r in rows)
-        return self.verdicts[a, b]
-
-    def cover(
-        self, pairing: dict[Partition, Partition], options: list, i: int, free: frozenset[int],
-        fixed: dict[Partition, tuple],
-    ) -> dict[Partition, tuple] | None:
-        """The first way to fix mus[i:] on the free segments with every pair
-        passing, as chain keys by partition; fixed holds the keys of mus[:i]."""
-        if i == len(self.mus):
-            return dict(fixed) if not free else None
-        mu = self.mus[i]
-        star = pairing[mu]
-        for tiles in options[i]:
-            if not free.issuperset(tiles):
-                continue
+    def chains(
+        self, mu: Partition, start: int, free: frozenset[int]
+    ) -> Iterator[tuple[Chain, frozenset[int]]]:
+        """Each chain of mu from start on free segments, with the segments it leaves free."""
+        for tiles in self.tilings(start, self.target[mu], free):
             self.placed += 1
             if self.placed > SEARCH_NODE_MAX:
                 raise RuntimeError(
                     f"search at deficit {self.k} found no assignment within "
                     f"SEARCH_NODE_MAX = {SEARCH_NODE_MAX} placed tilings"
                 )
-            fixed[mu] = (mu, len(star), tiles)
-            if star not in fixed or self.passes(fixed[mu], fixed[star]):
-                found = self.cover(pairing, options, i + 1, free.difference(tiles), fixed)
-                if found is not None:
-                    return found
-            del fixed[mu]
-        return None
+            gens = [self.segments[i][1][0] for i in tiles] + [self.base[mu]]
+            yield Chain(mu, start, gens), free.difference(tiles)
+
+    def assignments(
+        self, todo: list[Partition], free: frozenset[int]
+    ) -> Iterator[tuple[dict[Partition, Chain], dict[Partition, Partition]]]:
+        """Every way, in search order, to pair off todo and fix its chains on
+        exactly the free segments with every pair passing: chains and pairing."""
+        if not todo:
+            if not free:
+                yield {}, {}
+            return
+        mu = todo[0]
+        for star in todo:
+            rest = [p for p in todo[1:] if p != star]
+            for chain, left in self.chains(mu, len(star), free):
+                partners = [(chain, left)] if star == mu else self.chains(star, len(mu), left)
+                for partner, after in partners:
+                    if all(r.ok for _, r in check_pair(chain, partner, self.k)):
+                        for chains, pairing in self.assignments(rest, after):
+                            yield (
+                                {mu: chain, star: partner, **chains}, {mu: star, star: mu, **pairing}
+                            )
 
 
 def search_chains(k: int) -> ChainCollection:
-    """The first deficit-k collection, in candidate order, whose chain pairs pass every check.
+    """The first deficit-k collection, in search order, whose chain pairs pass every check.
 
-    Candidates run through the pairings in _matchings order and, within one,
-    fix the partitions one at a time in search order, each trying its
-    tilings in order on the segments still free.  A pair is checked as soon
-    as both its chains are fixed, and a failing pair skips every candidate
-    that holds it, so the first hit is the first passing candidate.  More
-    than SEARCH_NODE_MAX placed tilings raise RuntimeError.
+    The walk takes the first partition not yet fixed and gives it each free
+    partner, itself first and then the others in search order.  For each
+    partner it tries the partition's tilings and then the partner's, in order
+    on the segments still free, and checks the pair as soon as both chains are
+    fixed; a failing pair skips every assignment that holds it.  More than
+    SEARCH_NODE_MAX placed tilings raise RuntimeError.
     """
     search = _Search(k)
     everything = frozenset(range(len(search.segments)))
-    for pairing in _matchings(search.mus):
-        options = [
-            _tilings(search.segments, len(pairing[mu]), search.target[mu], search.table)
-            for mu in search.mus
-        ]
-        found = search.cover(pairing, options, 0, everything, {})
-        if found is not None:
-            return ChainCollection({mu: search.chain(key) for mu, key in found.items()}, pairing, k)
+    for chains, pairing in search.assignments(search.mus, everything):
+        return ChainCollection(chains, pairing, k)
     raise RuntimeError(f"no consistent chain assignment at deficit {k}")
 
 

@@ -20,7 +20,7 @@ from .dyck import (
 from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole, phi
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
-from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2
+from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2, ti_mind
 from .verify import cat_n_mu, report_lines
 
 
@@ -29,11 +29,12 @@ CATALAN_MAX = 24  # `catalan N` for the full polynomial
 TAIL_COUNT_MAX = 40_000  # `tail --count`
 TAIL_MU_MAX = 5_000  # |MU| for `tail MU`; a length plateau holds about |MU|^2 entries
 TAIL_PLATEAU_MAX = 3_000  # `tail --plateau`; memory grows as its square
+TAIL_ENTRIES_MAX = 7_000_000  # vector entries one `tail` run prints
 BUILD_MAX = 24  # `build K`, and |MU| for `catalan N --mu MU`, which builds to |MU|
 CATALAN_MU_N_MAX = 900  # N for `catalan N --mu MU`; the share has about N^2/2 terms
 OPPOSITE_MAX = 150  # `verify --opposite N`, on a deficit-16 collection
 STATS_LEN_MAX = 100_000  # reduced length of a `stats` word; output grows with it
-TI2_MAX = 2_000  # |MU| for `ti2 MU`; slowest for a hook with a long leg
+TI2_MAX = 2_500  # |MU| for `ti2 MU`; slowest for a hook with a long leg
 
 
 def _partition_arg(word: str) -> Partition:
@@ -79,6 +80,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f" len {len(r)} area {area(v)} dinv {dinv(v)} defc {defc(v)}"
         )
     return 0
+
+
+def _tail_entries(mu: Partition, count: int, j: int | None) -> int:
+    """The vector entries `tail` prints, from the plateau sizes: plateau i holds
+    one class for i = 0 and ti_mind(mu) + i - 1 after, each of length ti_mind(mu) + i."""
+    m = ti_mind(mu)
+    if j is not None:
+        return (m + j - 1 if j else 1) * (m + j)
+    entries = i = 0
+    while count > 0:
+        n = min(m + i - 1 if i else 1, count)
+        entries += n * (m + i)
+        count -= n
+        i += 1
+    return entries
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
@@ -224,7 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("tail", help="elements of the orbit indexed by a partition")
-    p.add_argument("mu", type=_partition_arg, help=f"a partition, |MU| at most {TAIL_MU_MAX}")
+    p.add_argument(
+        "mu",
+        type=_partition_arg,
+        help=f"a partition, |MU| at most {TAIL_MU_MAX}; "
+        f"a run prints at most {TAIL_ENTRIES_MAX} vector entries",
+    )
     p.add_argument(
         "--count",
         type=partial(_count_arg, limit=TAIL_COUNT_MAX),
@@ -296,6 +317,10 @@ def run(argv: list[str] | None = None) -> int:
         ap.error(f"{args.command}: STOP {args.stop} is below START {args.start}")
     if args.command == "tail" and sum(args.mu) > TAIL_MU_MAX:
         ap.error(f"tail: |MU| {sum(args.mu)} is above the limit {TAIL_MU_MAX}")
+    if args.command == "tail":
+        entries = _tail_entries(args.mu, args.count, args.plateau)
+        if entries > TAIL_ENTRIES_MAX:
+            ap.error(f"tail: {entries} vector entries to print, above the limit {TAIL_ENTRIES_MAX}")
     if args.command == "ti2" and sum(args.mu) > TI2_MAX:
         ap.error(f"ti2: |MU| {sum(args.mu)} is above the limit {TI2_MAX}")
     if args.command == "catalan" and args.mu is None and args.n > CATALAN_MAX:

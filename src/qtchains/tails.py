@@ -272,12 +272,14 @@ def template_parse(v: Vector) -> tuple[tuple[int, ...], Vector]:
     return tuple(runs), c
 
 
-def _block(n: int) -> Vector:
-    return (1,) * (2 * (n // 2)) + (0,) + (1,) * (n % 2)
-
-
-def _last_block(n: int) -> Vector:
-    return (1,) * (2 * (n // 2)) + (0, 1) * (n % 2)
+def _blocks(runs: tuple[int, ...]) -> list[int]:
+    """1^(2 floor(n/2)) 0 1^(n mod 2) for each run n, in one list."""
+    out: list[int] = []
+    for n in runs:
+        out += [1] * (2 * (n // 2))
+        out.append(0)
+        out += [1] * (n % 2)
+    return out
 
 
 def _evens(runs: tuple[int, ...], upto: int) -> int:
@@ -285,20 +287,24 @@ def _evens(runs: tuple[int, ...], upto: int) -> int:
 
 
 def _v_end(runs: tuple[int, ...], c: Vector) -> Vector:
-    out = (0, 0) + (1,) * _evens(runs, len(runs)) + c
-    for n in runs[:-1]:
-        out += _block(n)
-    return out + _last_block(runs[-1])
+    n = runs[-1]
+    out = [0, 0] + [1] * _evens(runs, len(runs))
+    out += c
+    out += _blocks(runs[:-1])
+    out += [1] * (2 * (n // 2)) + [0, 1] * (n % 2)
+    return tuple(out)
 
 
 def _v_partial(runs: tuple[int, ...], c: Vector, i: int, half: int) -> Vector:
-    head = (0, 0, 1) + (2,) * (runs[i] - 2 * half)
+    out = [0, 0, 1] + [2] * (runs[i] - 2 * half)
     for n in runs[i + 1 :]:
-        head += (1,) + (2,) * n
-    out = head + (1,) * _evens(runs, i) + c
-    for n in runs[:i]:
-        out += _block(n)
-    return out + (1,) * (2 * half)
+        out.append(1)
+        out += [2] * n
+    out += [1] * _evens(runs, i)
+    out += c
+    out += _blocks(runs[:i])
+    out += [1] * (2 * half)
+    return tuple(out)
 
 
 class TailTwoSummary(NamedTuple):

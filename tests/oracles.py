@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from qtchains.builder import ChainCollection, _matchings, _search_setup, _tilings
+from qtchains.builder import ChainCollection, Segment, _search_setup
 from qtchains.dyck import (
     Vector,
     area,
@@ -564,6 +564,29 @@ def coverage_check(coll: ChainCollection, k: int) -> CheckResult:
 
 # ------------------------------------------------------------ base search
 
+def _tilings(segments: list[Segment], lo: int, hi: int, table: dict) -> list[tuple[int, ...]]:
+    """The segment-index tuples that tile dinvs lo..hi-1, in the order a backward
+    depth-first search from hi meets them; table memoizes (lo, hi)."""
+    if (lo, hi) not in table:
+        table[lo, hi] = [()] if hi == lo else [
+            t + (i,)
+            for i, (s, seg) in enumerate(segments)
+            if s + len(seg) == hi and s >= lo
+            for t in _tilings(segments, lo, s, table)
+        ]
+    return table[lo, hi]
+
+
+def _matchings(pool: list[Partition]) -> Iterator[dict[Partition, Partition]]:
+    """Every involution of pool: the head self-paired first, then with each later partner."""
+    if not pool:
+        yield {}
+        return
+    for other in pool:
+        for m in _matchings([x for x in pool[1:] if x != other]):
+            yield {pool[0]: other, other: pool[0], **m}
+
+
 def _exact_covers(options: list[list[tuple[int, ...]]], free: frozenset[int]) -> Iterator[tuple]:
     """One tiling from each option list, together using each index of free once."""
     if not options:
@@ -580,8 +603,8 @@ def chain_candidates(k: int) -> Iterator[ChainCollection]:
     """Every deficit-k collection of chains and pairing whose chains tile the classes.
 
     Pairings come self images first, then partners in increasing order;
-    within one, tilings in (start, vector) segment order.  This is the
-    candidate order search_chains walks depth first."""
+    within one, tilings in (start, vector) segment order.  The enumeration
+    shares only _search_setup with search_chains."""
     mus, base, target, segments = _search_setup(k)
     table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for pairing in _matchings(mus):

@@ -112,6 +112,31 @@ def test_search_is_the_first_passing_candidate(k):
     assert collection_payload(search_chains(k)) == collection_payload(first)
 
 
+def _every_assignment(k: int) -> list[ChainCollection]:
+    search = builder._Search(k)
+    everything = frozenset(range(len(search.segments)))
+    return [ChainCollection(c, p, k) for c, p in search.assignments(search.mus, everything)]
+
+
+@pytest.mark.parametrize("k", range(BASE_K_MAX + 1))
+def test_search_walks_every_passing_candidate(k):
+    passing = [c for c in chain_candidates(k) if assignment_passes(c)]
+    assert list(map(collection_payload, _every_assignment(k))) == list(
+        map(collection_payload, passing)
+    )
+
+
+def test_search_walk_at_deficit_six(base_coll):
+    found = _every_assignment(6)
+    assert len(found) == 4
+    assert collection_payload(found[0]) == collection_payload(search_chains(6))
+    for f in found:
+        coll = ChainCollection(
+            {**base_coll.chains, **f.chains}, {**base_coll.pairing, **f.pairing}, 6
+        )
+        assert [r for _, r in validate_collection(coll, opposite_n=12) if not r.ok] == []
+
+
 def test_unseeded_search_at_deficit_six(base_coll):
     found = search_chains(6)
     assert {format_partition(mu): format_partition(star) for mu, star in found.pairs()} == {
@@ -134,8 +159,8 @@ def test_unseeded_search_at_deficit_six(base_coll):
 
 
 def test_search_budget_names_itself(monkeypatch):
-    monkeypatch.setattr(builder, "SEARCH_NODE_MAX", 100)
-    with pytest.raises(RuntimeError, match="SEARCH_NODE_MAX = 100 placed tilings"):
+    monkeypatch.setattr(builder, "SEARCH_NODE_MAX", 10)
+    with pytest.raises(RuntimeError, match="SEARCH_NODE_MAX = 10 placed tilings"):
         search_chains(5)
 
 

@@ -295,6 +295,43 @@ def test_tail_limit_is_in_the_help(capsys):
     assert f"|MU| at most {cli.TAIL_MU_MAX}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mu", ["0", "1", "21", "1^4", "3^21^2"])
+def test_tail_entries_match_the_printed_vectors(capsys, mu):
+    for argv in (["--count", str(c)] for c in range(40)):
+        entries = cli._tail_entries(parse_partition(mu), int(argv[1]), None)
+        assert run(["tail", mu, *argv]) == 0
+        assert entries == sum(len(line.split()[0]) for line in lines(capsys))
+    for j in range(8):
+        entries = cli._tail_entries(parse_partition(mu), 10, j)
+        assert run(["tail", mu, "--plateau", str(j)]) == 0
+        assert entries == sum(len(line.split()[0]) for line in lines(capsys))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["1^(1000)", "--count", "40000"], ["21", "--count", "40000"], ["0", "--plateau", "2646"]],
+)
+def test_tail_above_its_entries_limit_is_usage_error(capsys, argv):
+    mu = parse_partition(argv[0])
+    count, j = (int(argv[2]), None) if argv[1] == "--count" else (10, int(argv[2]))
+    entries = cli._tail_entries(mu, count, j)
+    assert entries > cli.TAIL_ENTRIES_MAX
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tail: {entries} vector entries to print, above the limit {cli.TAIL_ENTRIES_MAX}" in captured.err
+
+
+def test_tail_entries_limit_is_in_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"a run prints at most {cli.TAIL_ENTRIES_MAX} vector entries" in out
+
+
 def test_ti2_limit_is_in_the_help(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["ti2", "--help"])

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -314,6 +314,35 @@ def test_stage_vectors_match_orbit_walk(vec):
     summary = s_vectors(v)
     assert summary.s_vectors == tuple(stage_vectors_bruteforce(v))
     assert dinv(ti(summary.mu)) == summary.dinvs[-1]
+
+
+def test_stage_vectors_match_orbit_walk_for_every_small_mu():
+    checked = 0
+    for mu in (mu for n in range(1, 13) for mu in partitions_of(n)):
+        t2 = ti2(mu)
+        if t2 == ti(mu):
+            continue
+        try:
+            summary = s_vectors(t2)
+        except ValueError:  # not of the template shape, as `ti2 MU` skips it
+            continue
+        assert summary.s_vectors == tuple(stage_vectors_bruteforce(t2)), mu
+        checked += 1
+    assert checked == 131
+
+
+def test_stage_vectors_match_orbit_walk_on_every_small_template():
+    """Every reduced 0 0 1 2^m_0 1 ... 1 2^m_r C with at most three runs of at
+    most three 2s and a binary rest C of length at most 4."""
+    checked = 0
+    for runs in (r for n in range(1, 4) for r in product(range(4), repeat=n) if r[-1]):
+        head = (0, 0) + tuple(x for m in runs for x in (1,) + (2,) * m)
+        for c in (c for n in range(5) for c in product((0, 1), repeat=n)):
+            v = head + c
+            if reduce(v) == v:
+                assert s_vectors(v).s_vectors == tuple(stage_vectors_bruteforce(v)), v
+                checked += 1
+    assert checked == 1953
 
 
 def test_profile_matches_orbit_lengths():
