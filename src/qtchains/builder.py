@@ -266,8 +266,11 @@ def load_collection(path: str | Path) -> ChainCollection:
             raise ValueError(f"repeated record for {rec['mu']}")
         if sum(mu) > payload["k_max"]:
             raise ValueError(f"{rec['mu']} has deficit {sum(mu)}, above k_max {payload['k_max']}")
+        star = partition(rec["partner"])
+        if sum(star) != sum(mu):
+            raise ValueError(f"pairing changes size: {rec['mu']} is paired with {rec['partner']}")
         chains[mu] = Chain(mu, rec["start"], parse_vectors(rec["generators"]))
-        pairing[mu] = partition(rec["partner"])
+        pairing[mu] = star
     for mu, star in pairing.items():
         if star not in chains or pairing[star] != mu:
             raise ValueError(f"pairing is not an involution at {format_partition(mu)}")
@@ -289,24 +292,43 @@ def seed_base_collection(force_search: bool = False) -> ChainCollection:
 # --------------------------------------------------------------- validation
 
 def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tuple[str, CheckResult]]:
-    """Run every structural check; rows are (context, result)."""
+    """Run every structural check; rows are (context, result).
+
+    The pair rows come in coll.pairs() order and the disjoint rows, one per
+    deficit, after them.  The checks run one deficit at a time on fresh
+    walks of that deficit's chains, dropped before the next deficit, so
+    memory holds one deficit's walks and coll's own chains are never
+    walked.  A partner of another size (which load_collection rejects)
+    gets a fresh walk of its own.
+    """
     rows: list[tuple[str, CheckResult]] = []
-    for mu, star in coll.pairs():
-        chain, partner = coll.chains[mu], coll.chains[star]
-        rows += check_pair(chain, partner, sum(mu))
-        if opposite_n:
-            name = format_partition(mu)
-            try:
-                rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
-            except RuntimeError as e:
-                rows.append((name, CheckResult("opposite", False, str(e))))
-    by_k: dict[int, dict[Partition, Chain]] = {k: {} for k in range(min(coll.k_max, BASE_K_MAX) + 1)}
+    disjoint: list[tuple[str, CheckResult]] = []
+    by_k: dict[int, list[Partition]] = {k: [] for k in range(min(coll.k_max, BASE_K_MAX) + 1)}
     for mu in coll.members():
-        by_k.setdefault(sum(mu), {})[mu] = coll.chains[mu]
-    for k, group in sorted(by_k.items()):
+        by_k.setdefault(sum(mu), []).append(mu)
+
+    def fresh(mu: Partition) -> Chain:
+        c = coll.chains[mu]
+        return Chain(c.mu, c.start_dinv, c.generators)
+
+    for k, mus in sorted(by_k.items()):
+        group = {mu: fresh(mu) for mu in mus}
+        for mu in mus:
+            star = coll.pairing[mu]
+            if star < mu:
+                continue
+            chain = group[mu]
+            partner = group[star] if star in group else fresh(star)
+            rows += check_pair(chain, partner, k)
+            if opposite_n:
+                name = format_partition(mu)
+                try:
+                    rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
+                except RuntimeError as e:
+                    rows.append((name, CheckResult("opposite", False, str(e))))
         fault = _disjoint_fault(group, k)
-        rows.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
-    return rows
+        disjoint.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
+    return rows + disjoint
 
 
 def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:

@@ -15,12 +15,13 @@ from .dyck import (
     format_vector,
     mind,
     parse_vector,
+    partition_dinv,
     partition_from_class,
 )
 from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole, phi
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
-from .tails import absorption_counts, plateau, s_vectors, tail_elements, ti, ti2, ti_mind
+from .tails import absorption_counts, plateau, s_vectors, tail_classes, ti, ti2, ti_mind
 from .verify import cat_n_mu, report_lines
 
 
@@ -101,9 +102,10 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     if args.plateau is not None:
         rows = plateau(args.mu, args.plateau)
     else:
-        rows = tail_elements(args.mu, args.count)
+        rows = tail_classes(args.mu, args.count)
     for v in rows:
-        print(f"{format_vector(v)} dinv {dinv(v)}")
+        # dinv uncached: the cache of dyck.dinv would keep every class printed
+        print(f"{format_vector(v)} dinv {partition_dinv(partition_from_class(v))}")
     return 0
 
 

@@ -11,7 +11,9 @@ class QtPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        """Holds terms itself when no coefficient is 0, else a copy without the zeros."""
+        terms = {} if terms is None else terms
+        self.terms = terms if all(terms.values()) else {k: c for k, c in terms.items() if c != 0}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QtPolynomial) and self.terms == other.terms

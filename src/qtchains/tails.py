@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -62,30 +62,39 @@ def plateau(mu: Partition, j: int) -> list[Vector]:
     For j > 0 and nonzero mu these are the proper splits of the base word
     followed by the padded forms; the count is ti_mind(mu) + j - 1.
     """
+    return list(_plateau_classes(mu, j))
+
+
+def _plateau_classes(mu: Partition, j: int) -> Iterator[Vector]:
+    """plateau(mu, j), each class built when it is reached."""
     if j == 0:
-        return [ti(mu)]
+        yield ti(mu)
+        return
     b = b_word(mu)
-    out: list[Vector] = []
     if mu:
         for s in range(1, len(b)):
             y, z = b[:s], b[s:]
-            out.append((0, 1) + tuple(x + 1 for x in z) + (1,) * (j - 1) + y)
+            yield (0, 1) + tuple(x + 1 for x in z) + (1,) * (j - 1) + y
         for zeros in range(j + 1):
-            out.append((0,) + (1,) * (j - zeros) + b + (0,) * zeros)
+            yield (0,) + (1,) * (j - zeros) + b + (0,) * zeros
     else:
         for zeros in range(1, j + 1):
-            out.append((0,) + (1,) * (j - zeros) + (0,) * zeros)
-    return out
+            yield (0,) + (1,) * (j - zeros) + (0,) * zeros
+
+
+def tail_classes(mu: Partition, count: int) -> Iterator[Vector]:
+    """First count classes of the orbit of mu, by the plateau closed forms,
+    each built when it is reached: the last plateau is read only as far as count.
+
+    Every plateau holds at least one class, so count plateaus suffice.
+    """
+    plateaus = map(_plateau_classes, repeat(mu), range(count))
+    return islice(chain.from_iterable(plateaus), count)
 
 
 def tail_elements(mu: Partition, count: int) -> list[Vector]:
     """First count classes of the orbit of mu, by the plateau closed forms."""
-    out: list[Vector] = []
-    j = 0
-    while len(out) < count:
-        out.extend(plateau(mu, j))
-        j += 1
-    return out[:count]
+    return list(tail_classes(mu, count))
 
 
 def staircase_profile(base: int, count: int) -> list[int]:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,10 +24,10 @@ from qtchains.builder import (
     seed_base_collection,
     validate_collection,
 )
-from qtchains.dyck import dinv, format_vector, parse_vector
+from qtchains.dyck import dinv, format_vector, parse_vector, reduce
 from qtchains.flagpole import is_flagpole
-from qtchains.partitions import format_partition, parse_partition, partitions_of
-from qtchains.tails import coverage_bound
+from qtchains.partitions import count_partitions_max, format_partition, parse_partition, partitions_of
+from qtchains.tails import coverage_bound, ti2
 from qtchains.verify import Chain, CheckResult
 
 from oracles import (
@@ -181,6 +182,39 @@ def test_disjoint_row_checks_coverage(base_coll):
     ]
 
 
+def test_validate_holds_one_deficit_of_walks(tmp_path, coll16):
+    """Each deficit is checked on fresh walks, dropped before the next: on a
+    cold deficit-16 collection the traced peak stays under 3.5 MB (5.9 MB
+    when every walk was kept to the end), and the collection's own chains
+    are never walked."""
+    path = tmp_path / "c16.json"
+    save_collection(coll16, path)
+    coll = load_collection(path)
+    for cached in (dinv, reduce, ti2, count_partitions_max):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = validate_collection(coll)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3145 and all(r.ok for _, r in rows)
+    assert peak < 3.5 * 2**20, peak
+    assert all(not c.stored_generators() for c in coll.chains.values())
+
+
+def test_validate_walks_a_partner_of_another_size(base_coll):
+    pairing = {**base_coll.pairing, (1,): (1, 1), (1, 1): (1,)}
+    rows = validate_collection(ChainCollection(base_coll.chains, pairing, 5))
+    assert len(rows) == 257
+    assert [(ctx, r.clause, r.witness) for ctx, r in rows if not r.ok] == [
+        ("1", "basic-c", "starts 1,2 vs lengths 2,1"),
+        ("1^2", "basic-c", "starts 2,1 vs lengths 1,2"),
+        ("1", "amh-b", "h/m vectors (3,),(0,) vs reversed (4,),(0,)"),
+        ("1", "amh-c", "position identity fails at 0"),
+    ]
+
+
 def test_disjoint_row_for_a_base_deficit_without_chains():
     rows = validate_collection(ChainCollection({}, {}, 1))
     assert [ctx for ctx, r in rows if not r.ok] == ["deficit 0", "deficit 1"]
@@ -225,6 +259,17 @@ def test_load_rejects_damage(tmp_path, base_coll):
     payload["format"] = 99
     p.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="format"):
+        load_collection(p)
+
+    save_collection(base_coll, p)
+    payload = json.loads(p.read_text())
+    swap = {"1": "1^2", "1^2": "1"}
+    for rec in payload["chains"]:
+        if rec["mu"] in swap:
+            rec["partner"] = swap[rec["mu"]]
+            rec["certificate"] = builder._certificate(rec)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"^pairing changes size: 1 is paired with 1\^2$"):
         load_collection(p)
 
 

@@ -8,6 +8,7 @@ import pytest
 from qtchains import builder, cli
 from qtchains.builder import _certificate
 from qtchains.cli import run
+from qtchains.dyck import dinv
 from qtchains.flagpole import is_flagpole
 from qtchains.partitions import parse_partition, partitions_of
 
@@ -100,6 +101,18 @@ def test_tail(capsys):
         "012120 dinv 6",
         "011201 dinv 7",
     ]
+
+
+def test_tail_keeps_no_printed_class(capsys):
+    """tail prints each class as it is built and reads its dinv off the
+    partition, so the dinv cache keeps none of them."""
+    before = dinv.cache_info().currsize
+    assert run(["tail", "1^(300)", "--count", "700"]) == 0
+    assert run(["tail", "1^(300)", "--plateau", "2"]) == 0
+    assert dinv.cache_info().currsize == before
+    out = lines(capsys)
+    assert len(out) == 700 + 303
+    assert out[0].endswith(" dinv 44851") and out[699].endswith(" dinv 45550")
 
 
 def test_tail_plateau(capsys):
@@ -530,6 +543,11 @@ MALFORMED = {
         certified(), certified(mu="1", partner="1", start=1, generators=["001"]), k_max=0
     ),
     "negative-k_max": {"format": 1, "k_max": -1, "chains": []},
+    "size-changing-pairing": collection(
+        certified(mu="1", partner="1^2", start=2, generators=["001"]),
+        certified(mu="1^2", partner="1", start=1, generators=["0011"]),
+        k_max=2,
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import islice, product
 from math import comb
@@ -134,6 +135,20 @@ def test_plateau_forms_match_orbit(word):
     want = list(islice(tail_iter(mu), 40))
     got = [reduce(v) for v in tail_elements(mu, 40)]
     assert got == want
+
+
+def test_tail_elements_build_only_what_they_return():
+    """Plateau 1 of 1^5000 holds 5,001 classes of length 5,003, about 200 MB;
+    the first two classes of the orbit build only one of them."""
+    mu = (1,) * 5000
+    tracemalloc.start()
+    try:
+        got = tail_elements(mu, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == ti(mu) and len(got[1]) == ti_mind(mu) + 1
+    assert peak < 2**20, peak
 
 
 def test_plateau_sizes():
