@@ -44,11 +44,13 @@ from .tails import (
     ti_dinv,
     ti2,
 )
-from .verify import Chain, CheckResult, check_pair, opposite_bruteforce
+from .verify import (
+    Chain, ChainCheck, CheckResult, check_chain, check_pair, opposite_bruteforce, pair_rows
+)
 
 
 BASE_K_MAX = 5  # the base collection is searched through this deficit; extend_all builds above it
-SEARCH_NODE_MAX = 6_000  # tilings one search_chains call may place; about 3 s cold
+SEARCH_NODE_MAX = 7_000  # tilings one search_chains call may place; about 3 s cold
 
 Segment = tuple[int, tuple[Vector, ...]]  # a maximal first-order segment: start dinv, classes
 
@@ -119,7 +121,8 @@ def _search_setup(
 
 class _Search:
     """Per-call state of search_chains: the segments, the indices of the
-    segments ending at each dinv, and the number of tilings placed."""
+    segments ending at each dinv, the one-chain verdict of each tiling
+    checked, and the number of tilings placed."""
 
     def __init__(self, k: int):
         self.k = k
@@ -127,6 +130,7 @@ class _Search:
         self.ending: dict[int, list[int]] = {}
         for i, (s, seg) in enumerate(self.segments):
             self.ending.setdefault(s + len(seg), []).append(i)
+        self.passes: dict[tuple[Partition, int, tuple[int, ...]], bool] = {}
         self.placed = 0
 
     def tilings(self, lo: int, hi: int, free: frozenset[int]) -> Iterator[tuple[int, ...]]:
@@ -143,8 +147,12 @@ class _Search:
 
     def chains(
         self, mu: Partition, start: int, free: frozenset[int]
-    ) -> Iterator[tuple[Chain, frozenset[int]]]:
-        """Each chain of mu from start on free segments, with the segments it leaves free."""
+    ) -> Iterator[tuple[ChainCheck, frozenset[int]]]:
+        """Each chain of mu from start on free segments whose one-chain rows
+        pass, checked, with the segments it leaves free.
+
+        A tiling that failed once is skipped on its cached verdict; one that
+        passed is walked and checked again, since no Chain is kept."""
         for tiles in self.tilings(start, self.target[mu], free):
             self.placed += 1
             if self.placed > SEARCH_NODE_MAX:
@@ -152,8 +160,14 @@ class _Search:
                     f"search at deficit {self.k} found no assignment within "
                     f"SEARCH_NODE_MAX = {SEARCH_NODE_MAX} placed tilings"
                 )
+            key = (mu, start, tiles)
+            if self.passes.get(key) is False:
+                continue
             gens = [self.segments[i][1][0] for i in tiles] + [self.base[mu]]
-            yield Chain(mu, start, gens), free.difference(tiles)
+            checked = check_chain(Chain(mu, start, gens))
+            self.passes[key] = checked.ok
+            if checked.ok:
+                yield checked, free.difference(tiles)
 
     def assignments(
         self, todo: list[Partition], free: frozenset[int]
@@ -167,13 +181,14 @@ class _Search:
         mu = todo[0]
         for star in todo:
             rest = [p for p in todo[1:] if p != star]
-            for chain, left in self.chains(mu, len(star), free):
-                partners = [(chain, left)] if star == mu else self.chains(star, len(mu), left)
-                for partner, after in partners:
-                    if all(r.ok for _, r in check_pair(chain, partner, self.k)):
+            for ours, left in self.chains(mu, len(star), free):
+                partners = [(ours, left)] if star == mu else self.chains(star, len(mu), left)
+                for theirs, after in partners:
+                    if all(r.ok for _, r in pair_rows(ours, theirs, self.k)):
                         for chains, pairing in self.assignments(rest, after):
                             yield (
-                                {mu: chain, star: partner, **chains}, {mu: star, star: mu, **pairing}
+                                {mu: ours.chain, star: theirs.chain, **chains},
+                                {mu: star, star: mu, **pairing},
                             )
 
 
@@ -183,9 +198,11 @@ def search_chains(k: int) -> ChainCollection:
     The walk takes the first partition not yet fixed and gives it each free
     partner, itself first and then the others in search order.  For each
     partner it tries the partition's tilings and then the partner's, in order
-    on the segments still free, and checks the pair as soon as both chains are
-    fixed; a failing pair skips every assignment that holds it.  More than
-    SEARCH_NODE_MAX placed tilings raise RuntimeError.
+    on the segments still free.  A tiling whose chain fails a row it decides
+    alone (check_chain) is dropped at once, since every pair holding it would
+    fail; the pair rows run as soon as both chains are fixed, and a failing
+    pair skips every assignment that holds it.  More than SEARCH_NODE_MAX
+    placed tilings raise RuntimeError.
     """
     search = _Search(k)
     everything = frozenset(range(len(search.segments)))
@@ -229,7 +246,10 @@ def collection_payload(coll: ChainCollection) -> dict:
 
 
 def save_collection(coll: ChainCollection, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(collection_payload(coll), indent=1) + "\n")
+    """Write the payload as indented JSON, streamed to the file, and a final newline."""
+    with open(path, "w") as f:
+        json.dump(collection_payload(coll), f, indent=1)
+        f.write("\n")
 
 
 def load_collection(path: str | Path) -> ChainCollection:
@@ -478,7 +498,8 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
 
     Mode "flagpole" uses the closed eligibility test; "generalized" the
     length test against the current pairing.  Every assembled pair is
-    checked before it is kept; a failing pair raises.
+    checked before it is kept, as chains that hold only their generators;
+    a failing pair raises.
 
     The construction starts at deficit BASE_K_MAX + 1 and needs the whole
     base collection below it, so extending a collection whose k_max is
@@ -516,7 +537,8 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
                     f"assembled pair for {format_partition(mu)} fails "
                     f"{bad[0].clause}: {bad[0].witness}"
                 )
-            chains.update(built)
+            # keep generators only: later deficits walk just the prefixes they read
+            chains.update({m: Chain(m, c.start_dinv, c.generators) for m, c in built.items()})
             pairing[ctx.mu] = ctx.mu_star
             pairing[ctx.mu_star] = ctx.mu
     return ChainCollection(chains, pairing, k)

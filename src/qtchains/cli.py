@@ -163,12 +163,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows = builder.validate_collection(coll, opposite_n=args.opposite)
     fails = 0
     for ctx, r in rows:
-        line = f"{ctx}: {report_lines([r])[0]}"
-        if not r.ok:
-            fails += 1
-            print(line)
-        elif args.verbose:
-            print(line)
+        fails += not r.ok
+        if args.verbose or not r.ok:
+            print(f"{ctx}: {report_lines([r])[0]}")
     print(f"{len(rows) - fails}/{len(rows)} checks passed")
     return 1 if fails else 0
 

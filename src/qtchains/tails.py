@@ -19,7 +19,7 @@ from .dyck import Vector, class_from_partition, dinv, partition_from_class, redu
 from .partitions import (
     Partition, count_partitions_max, multiplicities, partition_from_multiplicities, partitions_of
 )
-from .steps import nd2_partition, nu1_partition, nu2_partition
+from .steps import nd2_partition
 
 
 def b_word(mu: Partition) -> Vector:
@@ -56,17 +56,13 @@ def ti_dinv(mu: Partition) -> int:
     return comb(m1 + ell + 1, 2) - ell - sum(mu)
 
 
-def plateau(mu: Partition, j: int) -> list[Vector]:
-    """The classes of the orbit of mu with reduced length ti_mind(mu) + j, in orbit order.
+def plateau(mu: Partition, j: int) -> Iterator[Vector]:
+    """The classes of the orbit of mu with reduced length ti_mind(mu) + j, in orbit order,
+    each built when it is reached.
 
     For j > 0 and nonzero mu these are the proper splits of the base word
     followed by the padded forms; the count is ti_mind(mu) + j - 1.
     """
-    return list(_plateau_classes(mu, j))
-
-
-def _plateau_classes(mu: Partition, j: int) -> Iterator[Vector]:
-    """plateau(mu, j), each class built when it is reached."""
     if j == 0:
         yield ti(mu)
         return
@@ -88,7 +84,7 @@ def tail_classes(mu: Partition, count: int) -> Iterator[Vector]:
 
     Every plateau holds at least one class, so count plateaus suffice.
     """
-    plateaus = map(_plateau_classes, repeat(mu), range(count))
+    plateaus = map(plateau, repeat(mu), range(count))
     return islice(chain.from_iterable(plateaus), count)
 
 
@@ -233,23 +229,6 @@ def ti2(mu: Partition) -> Vector:
         q = nd2_partition(p)
         if q is None:
             return class_from_partition(p)
-        p = q
-
-
-def tail2_iter(mu: Partition) -> Iterator[Partition]:
-    """Partitions of the combined-map orbit from the second base class of mu.
-
-    Both steps run on partitions; the second-order step rewrites one
-    representative vector of the class.
-    """
-    p = partition_from_class(ti2(mu))
-    while True:
-        yield p
-        q = nu1_partition(p)
-        if q is None:
-            q = nu2_partition(p)
-            if q is None:
-                raise RuntimeError(f"extended orbit of {mu} stopped at {class_from_partition(p)}")
         p = q
 
 

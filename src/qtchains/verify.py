@@ -18,8 +18,8 @@ from .dyck import (
 )
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial
-from .steps import nu1_partition
-from .tails import staircase_profile, tail2_iter, ti, ti2, ti_dinv, ti_mind
+from .steps import nu1_partition, nu2_partition
+from .tails import staircase_profile, ti, ti2, ti_dinv, ti_mind
 
 
 class Chain:
@@ -161,27 +161,68 @@ def _res(clause: str, ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(clause, ok, "" if ok else witness)
 
 
+class ChainCheck(NamedTuple):
+    """One walk of a chain through its amh horizon, and the rows it decides alone.
+
+    rows are basic-a, basic-b, basic-d, local-a, local-b and extra-a to
+    extra-d, in that order; parts holds the partitions of the walk and amh
+    the descent data of their length profile.  A chain that cannot be
+    walked has the single failing basic-a row, no parts and no amh.
+    """
+
+    chain: Chain
+    rows: list[CheckResult]
+    parts: list[Partition]
+    amh: AmhVectors | None
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.rows)
+
+
+def check_chain(chain: Chain) -> ChainCheck:
+    """Walk chain once, on partitions, to its amh horizon and run its one-chain rows.
+
+    The length profile is the mind of each partition; class vectors are
+    built only for witnesses.
+    """
+    try:
+        parts = chain.partitions_upto(chain.amh_horizon())
+    except RuntimeError as e:
+        return ChainCheck(chain, [_res("basic-a", False, str(e))], [], None)
+    prof = [mind(p) for p in parts]
+    amh = amh_vectors(chain.start_dinv, prof)
+    rows = check_basic(chain, parts, prof) + check_local(chain, prof, amh) + check_extra(
+        chain, parts, prof, amh
+    )
+    return ChainCheck(chain, rows, parts, amh)
+
+
 def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:
     """Every structural clause of a chain pair, as (context, result) rows.
 
-    The chain's basic, local and extra rows come first, then the partner's
-    when it is a different chain, then the pair's amh rows under the
-    chain's name.  Each chain is walked through its amh horizon once, on
-    partitions, and its length profile is their mind; a chain that cannot
-    be walked gives a single failing basic-a row.  Class vectors are built
-    only for witnesses.
+    Each chain is checked once (check_chain), the partner only when it is
+    another partition, and pair_rows joins the results.  A chain that
+    cannot be walked gives its single failing basic-a row.
     """
-    sides = [chain] if partner.mu == chain.mu else [chain, partner]
-    parts: list[list[Partition]] = []
-    profs: list[list[int]] = []
-    amh: list[AmhVectors] = []
-    for c in sides:
-        try:
-            parts.append(c.partitions_upto(c.amh_horizon()))
-        except RuntimeError as e:
-            return [(format_partition(c.mu), _res("basic-a", False, str(e)))]
-        profs.append([mind(p) for p in parts[-1]])
-        amh.append(amh_vectors(c.start_dinv, profs[-1]))
+    ours = check_chain(chain)
+    if ours.amh is None:
+        return [(format_partition(chain.mu), ours.rows[0])]
+    theirs = ours._replace(chain=partner) if partner.mu == chain.mu else check_chain(partner)
+    if theirs.amh is None:
+        return [(format_partition(partner.mu), theirs.rows[0])]
+    return pair_rows(ours, theirs, k)
+
+
+def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, CheckResult]]:
+    """The rows of a pair from its two walked and checked chains, as (context, result) rows.
+
+    The chain's basic, local and extra rows come first, with the pair's
+    basic-c and basic-e among them, then the partner's when it is another
+    partition, then the pair's amh rows under the chain's name.
+    """
+    chain, partner = ours.chain, theirs.chain
+    sides = [ours] if partner.mu == chain.mu else [ours, theirs]
     if len(sides) == 1:
         basic_e = _res(
             "basic-e",
@@ -189,29 +230,26 @@ def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckRes
             "self-paired chain differs from partner",
         )
     else:
-        shared = set(parts[0]) & set(parts[1])
+        shared = set(ours.parts) & set(theirs.parts)
         basic_e = _res(
             "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
         )
-    names = [format_partition(c.mu) for c in sides]
+    names = [format_partition(side.chain.mu) for side in sides]
     rows: list[tuple[str, CheckResult]] = []
-    for c, other, name, c_parts, prof, c_amh in zip(
-        sides, (partner, chain), names, parts, profs, amh
-    ):
-        results = (
-            check_basic(c, other, c_parts, prof)
-            + [basic_e]
-            + check_local(c, prof, c_amh)
-            + check_extra(c, c_parts, prof, c_amh)
+    for side, other, name in zip(sides, (partner, chain), names):
+        c = side.chain
+        basic_c = _res(
+            "basic-c",
+            c.start_dinv == len(other.mu) and other.start_dinv == len(c.mu),
+            f"starts {c.start_dinv},{other.start_dinv} vs lengths {len(other.mu)},{len(c.mu)}",
         )
+        results = side.rows[:2] + [basic_c, side.rows[2], basic_e] + side.rows[3:]
         rows += [(name, r) for r in results]
-    return rows + [(names[0], r) for r in check_amh(amh[0], amh[-1], k)]
+    return rows + [(names[0], r) for r in check_amh(sides[0].amh, sides[-1].amh, k)]
 
 
-def check_basic(
-    chain: Chain, partner: Chain, parts: list[Partition], prof: list[int]
-) -> list[CheckResult]:
-    """Deficit and dinv bookkeeping, start positions and ending orbit.
+def check_basic(chain: Chain, parts: list[Partition], prof: list[int]) -> list[CheckResult]:
+    """Deficit and dinv bookkeeping, distinct elements and ending orbit: basic-a, b and d.
 
     parts holds the partitions of the chain's elements through its amh
     horizon and prof their mind.  An element's dinv is read off its
@@ -239,12 +277,6 @@ def check_basic(
             "basic-b",
             len(set(parts)) == len(parts),
             f"repeated element in chain for {format_partition(mu)}",
-        ),
-        _res(
-            "basic-c",
-            chain.start_dinv == len(partner.mu) and partner.start_dinv == len(mu),
-            f"starts {chain.start_dinv},{partner.start_dinv} vs lengths "
-            f"{len(partner.mu)},{len(mu)}",
         ),
         _res(
             "basic-d",
@@ -326,13 +358,27 @@ def check_extra(
         ok = False
         witness = f"extended orbit starts at {d2}, below the chain"
     else:
-        for off, p in enumerate(tail2_iter(chain.mu)):
-            if p == base:
-                break
-            if parts[d2 + off - chain.start_dinv] != p:
+        # The extended orbit steps with nu1_partition where it is defined, as
+        # the chain's walk does, and a chain segment starts exactly where it
+        # is not; so the orbit can leave the chain only at a segment start,
+        # where it takes the second-order step from the element before.
+        starts = chain.stored_generators()
+        i = d2 - chain.start_dinv
+        p = partition_from_class(ti2(chain.mu))
+        while p != base:
+            if parts[i] != p:
                 ok = False
-                witness = f"extended orbit departs from the chain at dinv {d2 + off}"
+                witness = f"extended orbit departs from the chain at dinv {chain.start_dinv + i}"
                 break
+            i += 1
+            if i in starts:
+                p = nu2_partition(parts[i - 1])
+                if p is None:
+                    raise RuntimeError(
+                        f"extended orbit of {chain.mu} stopped at {class_from_partition(parts[i - 1])}"
+                    )
+            else:
+                p = parts[i]
     out.append(_res("extra-d", ok, witness))
     return out
 
@@ -362,18 +408,18 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
 
 # ---------------------------------------------------------------- path sums
 
-def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
-    """(dinv, reduced length) of each chain element, in order.
+def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int, int]]:
+    """(first dinv, count, reduced length) runs of the chain's elements, in order.
 
     Stops before the first element at or past the base dinv that is longer
     than n_max: the final orbit's reduced lengths never come back down.
-    The chain is walked one element at a time up to its base dinv.  When
-    the element there is the base class of mu, the rest of the chain is
-    that class's orbit (a non-final segment running there raises, and the
-    orbit never stops), whose lengths are the staircase: ti_mind(mu) once,
-    then ti_mind(mu) + j taken ti_mind(mu) + j - 1 times.  Otherwise the
-    walk goes on, so a final segment that stops only past the last element
-    read is never reached.
+    The chain is walked one element at a time, one run each, up to its
+    base dinv.  When the element there is the base class of mu, the rest of
+    the chain is that class's orbit (a non-final segment running there
+    raises, and the orbit never stops), whose lengths are the staircase:
+    one run of ti_mind(mu) once, then one of ti_mind(mu) + j taken
+    ti_mind(mu) + j - 1 times.  Otherwise the walk goes on, so a final
+    segment that stops only past the last element read is never reached.
     """
     base_dinv = ti_dinv(chain.mu)
     base = partition_from_class(ti(chain.mu))
@@ -384,22 +430,24 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
         if d == base_dinv and p == base:
             reps = 1
             while ln <= n_max:
-                out += [(e, ln) for e in range(d, d + reps)]
+                out.append((d, reps, ln))
                 d += reps
                 reps = ln
                 ln += 1
             break
         if ln > n_max and d >= base_dinv:
             break
-        out.append((d, ln))
+        out.append((d, 1, ln))
         d += 1
     return out
 
 
-def _path_sum(n: int, chain: Chain, lengths: list[tuple[int, int]]) -> QtPolynomial:
-    """cat_n_mu(n, chain) from the lengths of a walk to some n_max >= n."""
+def _path_sum(n: int, chain: Chain, runs: list[tuple[int, int, int]]) -> QtPolynomial:
+    """cat_n_mu(n, chain) from the runs of a walk to some n_max >= n."""
     top = comb(n, 2) - sum(chain.mu)
-    return QtPolynomial({(top - d, d): 1 for d, ln in lengths if ln <= n})
+    return QtPolynomial(
+        {(top - d, d): 1 for d0, count, ln in runs if ln <= n for d in range(d0, d0 + count)}
+    )
 
 
 def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
@@ -411,13 +459,14 @@ def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
 
 
 def _length_masks(
-    lengths: list[tuple[int, int]], n_max: int, bit: Callable[[int], int]
+    runs: list[tuple[int, int, int]], n_max: int, shift: Callable[[int, int], int]
 ) -> list[int]:
-    """For each n up to n_max, the OR of 1 << bit(d) over the elements of reduced length at most n."""
+    """For each n up to n_max, the OR over the runs of length at most n of
+    count bits from bit shift(first dinv, count) up."""
     buckets = [0] * (n_max + 1)
-    for d, ln in lengths:
+    for d, count, ln in runs:
         if ln <= n_max:
-            buckets[ln] |= 1 << bit(d)
+            buckets[ln] |= ((1 << count) - 1) << shift(d, count)
     masks = []
     acc = 0
     for b in buckets:
@@ -429,8 +478,9 @@ def _length_masks(
 def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult]:
     """Path sums of the pair are mirror images in q and t, for each n up to n_max.
 
-    Each chain is walked once, to n_max, and every n compares two bit
-    masks; the polynomials are built only for a failing row's witness.
+    Each chain is read once, to n_max, as runs of equal reduced length, and
+    every n compares two bit masks; the polynomials are built only for a
+    failing row's witness.
     """
     ours, theirs = _lengths(chain, n_max), _lengths(partner, n_max)
     # Each walk's dinvs ascend without repeats and every term is
@@ -442,9 +492,9 @@ def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckR
     # top_star - hi - lo.  Bits shifted out below 0 are values under lo,
     # which the chain lacks: equal counts rule them out.
     lo = chain.start_dinv
-    hi = theirs[-1][0] if theirs else 0
-    mine = _length_masks(ours, n_max, lambda d: d - lo)
-    rev = _length_masks(theirs, n_max, lambda e: hi - e)
+    hi = theirs[-1][0] + theirs[-1][1] - 1 if theirs else 0
+    mine = _length_masks(ours, n_max, lambda d, count: d - lo)
+    rev = _length_masks(theirs, n_max, lambda e, count: hi - (e + count - 1))
     out: list[CheckResult] = []
     for n in range(1, n_max + 1):
         top = comb(n, 2) - sum(chain.mu)

@@ -17,23 +17,28 @@ from qtchains.dyck import (
     format_vector,
     mind,
     parse_vector,
+    partition_dinv,
     partition_from_class,
     qdv_from_partition,
     reduce,
+    starts_00,
 )
 from qtchains.flagpole import v_template
 from qtchains.partitions import Partition, format_partition, partitions_of, read_number
 from qtchains.poly import QtPolynomial
-from qtchains.steps import nd, nu, nu1
+from qtchains.steps import nd, nu, nu1, nu1_partition, nu2_partition
 from qtchains.tails import (
     TailTwoSummary,
     coverage_bound,
     locate_in_tail,
     staircase_profile,
     ti,
+    ti2,
     ti_dinv,
 )
-from qtchains.verify import AmhVectors, Chain, CheckResult, amh_vectors, check_pair
+from qtchains.verify import (
+    AmhVectors, Chain, CheckResult, _res, amh_vectors, check_amh, check_local, check_pair
+)
 
 
 def dinv_extended(v: Vector) -> int:
@@ -624,3 +629,174 @@ def assignment_passes(coll: ChainCollection) -> bool:
         for mu, star in coll.pairs()
         for _, r in check_pair(coll.chains[mu], coll.chains[star], sum(mu))
     )
+
+
+# ------------------------------------------------------------ pair checks
+
+def tail2_iter(mu: Partition) -> Iterator[Partition]:
+    """Partitions of the combined-map orbit from the second base class of mu.
+
+    Both steps run on partitions; the second-order step rewrites one
+    representative vector of the class.
+    """
+    p = partition_from_class(ti2(mu))
+    while True:
+        yield p
+        q = nu1_partition(p)
+        if q is None:
+            q = nu2_partition(p)
+            if q is None:
+                raise RuntimeError(f"extended orbit of {mu} stopped at {class_from_partition(p)}")
+        p = q
+
+
+def check_pair_by_clauses(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:
+    """Every structural clause of a chain pair, as (context, result) rows: check_pair
+    as it was before check_chain, walking and checking each chain inside.
+
+    The chain's basic, local and extra rows come first, then the partner's
+    when it is a different chain, then the pair's amh rows under the
+    chain's name.  Each chain is walked through its amh horizon once, on
+    partitions, and its length profile is their mind; a chain that cannot
+    be walked gives a single failing basic-a row.  Class vectors are built
+    only for witnesses.
+    """
+    sides = [chain] if partner.mu == chain.mu else [chain, partner]
+    parts: list[list[Partition]] = []
+    profs: list[list[int]] = []
+    amh: list[AmhVectors] = []
+    for c in sides:
+        try:
+            parts.append(c.partitions_upto(c.amh_horizon()))
+        except RuntimeError as e:
+            return [(format_partition(c.mu), _res("basic-a", False, str(e)))]
+        profs.append([mind(p) for p in parts[-1]])
+        amh.append(amh_vectors(c.start_dinv, profs[-1]))
+    if len(sides) == 1:
+        basic_e = _res(
+            "basic-e",
+            chain.generators == partner.generators,
+            "self-paired chain differs from partner",
+        )
+    else:
+        shared = set(parts[0]) & set(parts[1])
+        basic_e = _res(
+            "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
+        )
+    names = [format_partition(c.mu) for c in sides]
+    rows: list[tuple[str, CheckResult]] = []
+    for c, other, name, c_parts, prof, c_amh in zip(
+        sides, (partner, chain), names, parts, profs, amh
+    ):
+        results = (
+            check_basic_by_clauses(c, other, c_parts, prof)
+            + [basic_e]
+            + check_local(c, prof, c_amh)
+            + check_extra_by_clauses(c, c_parts, prof, c_amh)
+        )
+        rows += [(name, r) for r in results]
+    return rows + [(names[0], r) for r in check_amh(amh[0], amh[-1], k)]
+
+
+def check_basic_by_clauses(
+    chain: Chain, partner: Chain, parts: list[Partition], prof: list[int]
+) -> list[CheckResult]:
+    """Deficit and dinv bookkeeping, start positions and ending orbit.
+
+    parts holds the partitions of the chain's elements through its amh
+    horizon and prof their mind.  An element's dinv is read off its
+    partition and its deficit is |p| - dinv; a stored generator must be
+    the reduced vector of its class, of length mind(p).
+    """
+    mu = chain.mu
+    k = sum(mu)
+    gens = chain.stored_generators()
+    bad = [
+        i
+        for i, p in enumerate(parts)
+        if (dv := partition_dinv(p)) != chain.start_dinv + i
+        or sum(p) - dv != k
+        or i in gens and len(gens[i]) != prof[i]
+    ]
+    return [
+        _res(
+            "basic-a",
+            not bad,
+            bad and f"element {gens.get(bad[0]) or class_from_partition(parts[bad[0]])} "
+            f"at slot {chain.start_dinv + bad[0]}" or "",
+        ),
+        _res(
+            "basic-b",
+            len(set(parts)) == len(parts),
+            f"repeated element in chain for {format_partition(mu)}",
+        ),
+        _res(
+            "basic-c",
+            chain.start_dinv == len(partner.mu) and partner.start_dinv == len(mu),
+            f"starts {chain.start_dinv},{partner.start_dinv} vs lengths "
+            f"{len(partner.mu)},{len(mu)}",
+        ),
+        _res(
+            "basic-d",
+            chain.generators[-1] == ti(mu),
+            f"last generator {chain.generators[-1]} is not the base vector of "
+            f"{format_partition(mu)}",
+        ),
+    ]
+
+
+def check_extra_by_clauses(
+    chain: Chain, parts: list[Partition], prof: list[int], amh: AmhVectors
+) -> list[CheckResult]:
+    """Valley shape, run height bounds, drop criterion, extended orbit containment;
+    extra-d walks the extended orbit again with tail2_iter."""
+    out: list[CheckResult] = []
+
+    rising = False
+    valley = True
+    for i in range(1, amh.size):
+        if amh.h[i] > amh.h[i - 1]:
+            rising = True
+        elif amh.h[i] < amh.h[i - 1] and rising:
+            valley = False
+            break
+    out.append(_res("extra-a", valley, f"h vector {amh.h} is not a valley"))
+
+    ok = True
+    witness = ""
+    for i in range(amh.size - 1):
+        lo = amh.a[i] - chain.start_dinv
+        hi = amh.a[i + 1] - chain.start_dinv
+        cap = 1 + max(amh.h[i], amh.h[i + 1])
+        if any(x > cap for x in prof[lo:hi]):
+            ok = False
+            witness = f"run {i} exceeds {cap}"
+            break
+    out.append(_res("extra-b", ok, witness))
+
+    ok = True
+    witness = ""
+    for i in range(len(parts) - 1):
+        if (prof[i] < prof[i + 1]) != starts_00(parts[i], prof[i]):
+            ok = False
+            witness = f"element {class_from_partition(parts[i])} at {chain.start_dinv + i}"
+            break
+    out.append(_res("extra-c", ok, witness))
+
+    ok = True
+    witness = ""
+    d2 = dinv(ti2(chain.mu))
+    base = partition_from_class(ti(chain.mu))
+    if d2 < chain.start_dinv:
+        ok = False
+        witness = f"extended orbit starts at {d2}, below the chain"
+    else:
+        for off, p in enumerate(tail2_iter(chain.mu)):
+            if p == base:
+                break
+            if parts[d2 + off - chain.start_dinv] != p:
+                ok = False
+                witness = f"extended orbit departs from the chain at dinv {d2 + off}"
+                break
+    out.append(_res("extra-d", ok, witness))
+    return out

@@ -159,6 +159,27 @@ def test_unseeded_search_at_deficit_six(base_coll):
         assert found.chain(mu).generators == ext.chain(mu).generators, mu
 
 
+def test_search_at_deficit_seven_within_the_budget(base_coll):
+    """One-chain rows drop a tiling before it is paired, and its verdict is
+    cached as a bool: deficit 7 finds its first assignment after 452 placed
+    tilings (12,461 when every tiling was paired), and joined to the base
+    and the deficit-6 collections it passes every row with path sums to
+    n = 14."""
+    search = builder._Search(7)
+    next(search.assignments(search.mus, frozenset(range(len(search.segments)))))
+    assert search.placed == 452
+    assert all(type(v) is bool for v in search.passes.values())
+    f6, f7 = search_chains(6), search_chains(7)
+    coll = ChainCollection(
+        {**base_coll.chains, **f6.chains, **f7.chains},
+        {**base_coll.pairing, **f6.pairing, **f7.pairing},
+        7,
+    )
+    rows = validate_collection(coll, opposite_n=14)
+    assert [r for _, r in rows if not r.ok] == []
+    assert len(rows) == 1064
+
+
 def test_search_budget_names_itself(monkeypatch):
     monkeypatch.setattr(builder, "SEARCH_NODE_MAX", 10)
     with pytest.raises(RuntimeError, match="SEARCH_NODE_MAX = 10 placed tilings"):
@@ -201,6 +222,26 @@ def test_validate_holds_one_deficit_of_walks(tmp_path, coll16):
     assert len(rows) == 3145 and all(r.ok for _, r in rows)
     assert peak < 3.5 * 2**20, peak
     assert all(not c.stored_generators() for c in coll.chains.values())
+
+
+def test_extend_all_keeps_generators_not_walks():
+    """Each built pair is kept as chains holding only their generators, so
+    only the prefixes that bridges and mirrors read stay walked: extending a
+    freshly loaded base to deficit 16 with cold caches holds 1,182
+    partitions (16,472 when every checked walk was kept) at a traced peak
+    under 3 MB (2.4 MB measured; 3.9 MB with the walks)."""
+    base = seed_base_collection()
+    for cached in (dinv, reduce, ti2, count_partitions_max):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        coll = extend_all(base, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coll.chains) == 241
+    assert sum(len(c._parts) for c in coll.chains.values()) == 1182
+    assert peak < 3 * 2**20, peak
 
 
 def test_validate_walks_a_partner_of_another_size(base_coll):

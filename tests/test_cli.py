@@ -1,5 +1,7 @@
+import contextlib
 import json
 import shlex
+import tracemalloc
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -113,6 +115,34 @@ def test_tail_keeps_no_printed_class(capsys):
     out = lines(capsys)
     assert len(out) == 700 + 303
     assert out[0].endswith(" dinv 44851") and out[699].endswith(" dinv 45550")
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given but the count of lines."""
+
+    lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_tail_plateau_prints_while_it_walks():
+    """Plateau 2 of 1^300 holds 303 classes of length 304, about 0.8 MB as
+    a list; tail --plateau prints each class as it is built and holds one."""
+    out = _Discard()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert run(["tail", "1^(300)", "--plateau", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.lines == 303
+    assert peak < 0.3 * 2**20, peak
 
 
 def test_tail_plateau(capsys):
@@ -450,6 +480,21 @@ def test_build_below_the_base_trims_the_collection(tmp_path, capsys):
 
     assert run(["verify", str(out)]) == 0
     assert lines(capsys)[-1] == "99/99 checks passed"
+
+
+def test_verify_formats_only_the_rows_it_prints(tmp_path, capsys, monkeypatch):
+    """Without --verbose a passing file prints the summary and formats no row."""
+    out = tmp_path / "c7.json"
+    assert run(["build", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    formatted = []
+    real = cli.report_lines
+    monkeypatch.setattr(cli, "report_lines", lambda rows: formatted.extend(rows) or real(rows))
+    assert run(["verify", str(out)]) == 0
+    assert lines(capsys) == ["365/365 checks passed"]
+    assert formatted == []
+    assert run(["verify", str(out), "--verbose"]) == 0
+    assert len(lines(capsys)) == 366 and len(formatted) == 365
 
 
 def test_verify_verbose_lists_rows(tmp_path, capsys):

@@ -32,7 +32,6 @@ from qtchains.tails import (
     plateau,
     s_vectors,
     staircase_profile,
-    tail2_iter,
     tail_elements,
     ti,
     ti2,
@@ -46,6 +45,7 @@ from oracles import (
     stage_vectors_bruteforce,
     summary_profile,
     tail2_by_nu,
+    tail2_iter,
     tail_iter,
     ti2_by_nd,
 )
@@ -153,11 +153,11 @@ def test_tail_elements_build_only_what_they_return():
 
 def test_plateau_sizes():
     mu = (2, 1)
-    assert plateau(mu, 0) == [ti(mu)]
+    assert list(plateau(mu, 0)) == [ti(mu)]
     for j in range(1, 5):
-        assert len(plateau(mu, j)) == ti_mind(mu) + j - 1
+        assert len(list(plateau(mu, j))) == ti_mind(mu) + j - 1
     for j in range(1, 5):
-        assert len(plateau((), j)) == j
+        assert len(list(plateau((), j))) == j
 
 
 def test_staircase_profile_values():
@@ -184,7 +184,7 @@ def test_locator_indexes_plateau():
         for c in enumerate_deficit(k, 25):
             loc = locate_in_tail(c)
             if loc is not None:
-                assert plateau(loc.mu, loc.plateau_index)[loc.position] == c
+                assert list(plateau(loc.mu, loc.plateau_index))[loc.position] == c
 
 
 def test_locate_membership():

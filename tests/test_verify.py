@@ -25,7 +25,9 @@ from qtchains.verify import (
     report_lines,
 )
 
-from oracles import cat_n_mu_by_lookup, chain_amh, lengths_by_walk, lift, opposite_per_n
+from oracles import (
+    cat_n_mu_by_lookup, chain_amh, check_pair_by_clauses, lengths_by_walk, lift, opposite_per_n
+)
 
 
 GENS15 = [parse_vector(g) for g in ("0012332", "0012222", "0012211", "0011111")]
@@ -35,10 +37,15 @@ def chain15(gens: list = GENS15) -> Chain:
     return Chain((1, 1, 1, 1, 1), 5, gens)
 
 
-def basic(chain: Chain, partner: Chain, d: int) -> list[CheckResult]:
-    """check_basic on the chain's elements through dinv d."""
+def basic(chain: Chain, d: int) -> list[CheckResult]:
+    """check_basic on the chain's elements through dinv d: basic-a, b and d."""
     parts = chain.partitions_upto(d)
-    return check_basic(chain, partner, parts, [mind(p) for p in parts])
+    return check_basic(chain, parts, [mind(p) for p in parts])
+
+
+def lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
+    """The (dinv, reduced length) pairs that the runs of _lengths expand to."""
+    return [(d, ln) for d0, count, ln in _lengths(chain, n_max) for d in range(d0, d0 + count)]
 
 
 def poly_from_profile(start: int, values: list[int], n: int, k: int) -> QtPolynomial:
@@ -141,7 +148,7 @@ def test_check_basic_looks_up_dinv_once_per_element(monkeypatch):
     monkeypatch.setattr(verify, "partition_dinv", lambda p: seen.append(p) or real(p))
     monkeypatch.setattr(verify, "class_from_partition", no_class)
     before = dinv.cache_info()
-    assert all(r.ok for r in check_basic(c, c, parts, [mind(p) for p in parts]))
+    assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts]))
     assert seen == parts
     assert dinv.cache_info() == before
 
@@ -188,18 +195,18 @@ def test_unreduced_generator_fails_basic_a(coll12):
 def test_basic_a_catches_wrong_deficit_and_dinv():
     # the elements of chain15 have deficit 5, not |31^4| = 7; their dinvs are right
     bad = Chain((3, 1, 1, 1, 1), 5, GENS15)
-    rows = basic(bad, bad, 11)
+    rows = basic(bad, 11)
     assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 5")
     # right deficit, but every element sits one slot below its dinv
     bad = Chain((1, 1, 1, 1, 1), 4, GENS15)
-    rows = basic(bad, bad, 11)
+    rows = basic(bad, 11)
     assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 4")
 
 
 def test_basic_b_catches_a_repeated_segment():
     # segment 1 walks the classes of segment 0 again, two slots up
     bad = chain15([GENS15[0]] + GENS15[:1] + GENS15[2:])
-    rows = basic(bad, bad, 11)
+    rows = basic(bad, 11)
     assert rows[1] == CheckResult("basic-b", False, "repeated element in chain for 1^5")
     assert rows[0] == CheckResult("basic-a", False, f"element {GENS15[0]} at slot 7")
 
@@ -270,6 +277,38 @@ def test_damaged_chains_keep_their_rows(coll12):
     assert sum(not line.startswith(" ") for line in report) == DAMAGED_VARIANTS
     assert any("FAIL" in line for line in report)
     assert hashlib.sha256("\n".join(report).encode()).hexdigest() == DAMAGED_DIGEST
+
+
+def test_check_pair_matches_the_clause_oracle(base_coll, coll16):
+    """Every pair of the deficit-16 and the generalized deficit-12
+    collections: checking each chain once and joining the results gives the
+    rows of the clause-by-clause check."""
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for mu, star in coll.pairs():
+            chain, partner = coll.chain(mu), coll.chain(star)
+            got = check_pair(chain, partner, sum(mu))
+            assert got == check_pair_by_clauses(chain, partner, sum(mu)), mu
+            assert all(r.ok for _, r in got), mu
+
+
+def test_check_pair_matches_the_clause_oracle_on_damaged_chains(coll12):
+    """Two adjacent generators of the first chain of a pair of deficit at
+    most 8 swapped: the failing rows of the clause-by-clause check."""
+    count = 0
+    for mu, star in coll12.pairs():
+        if sum(mu) > 8:
+            continue
+        chain = coll12.chain(mu)
+        for i in range(len(chain.generators) - 1):
+            gens = list(chain.generators)
+            gens[i], gens[i + 1] = gens[i + 1], gens[i]
+            bad = Chain(mu, chain.start_dinv, gens)
+            partner = bad if star == mu else coll12.chain(star)
+            got = check_pair(bad, partner, sum(mu))
+            assert got == check_pair_by_clauses(bad, partner, sum(mu)), (mu, i)
+            assert not all(r.ok for _, r in got), (mu, i)
+            count += 1
+    assert count == 105
 
 
 def test_first_generator_has_no_predecessor():
@@ -392,7 +431,7 @@ def test_opposite_masks_with_negative_mapped_dinvs(coll16):
             negative += any(
                 ln <= n and d > comb(n, 2) - sum(star)
                 for n in range(1, 13)
-                for d, ln in _lengths(shifted, 12)
+                for d, ln in lengths(shifted, 12)
             )
             for mu in members:
                 chain = coll16.chain(mu)
@@ -407,8 +446,8 @@ def test_lengths_stop_before_a_final_segment_stops():
     then stops: the walk reaches only the elements _lengths reads, so it
     returns below that stop and raises past it."""
     chain = Chain((1, 1), 2, [class_from_partition((2, 2, 1, 1))])
-    assert _lengths(chain, 5) == [(2, 5)]
-    assert _lengths(chain, 6) == [(2, 5)] + [(d, 6) for d in range(3, 8)]
+    assert lengths(chain, 5) == [(2, 5)]
+    assert lengths(chain, 6) == [(2, 5)] + [(d, 6) for d in range(3, 8)]
     assert opposite_bruteforce(chain, chain, 6) == opposite_per_n(chain, chain, 6)
     assert cat_n_mu(6, chain) == QtPolynomial({(comb(6, 2) - 2 - d, d): 1 for d in range(2, 8)})
     with pytest.raises(RuntimeError, match="final segment of Chain\\(1\\^2, start=2\\) stopped"):
@@ -460,7 +499,7 @@ def test_lengths_match_the_walk_on_stored_chains(base_coll, coll16):
             chain = coll.chain(mu)
             ours, walked = _copy(chain), _copy(chain)
             for n in LENGTH_NS:
-                assert _lengths(ours, n) == lengths_by_walk(walked, n), (mu, n)
+                assert lengths(ours, n) == lengths_by_walk(walked, n), (mu, n)
             assert len(ours._parts) <= ours._base_slot + 1, mu
 
 
@@ -485,7 +524,7 @@ def test_lengths_match_the_walk_on_damaged_chains(coll12):
     outcomes = []
     for mu, start, gens in damaged:
         for n in LENGTH_NS:
-            got, want = (_result_or_error(f, Chain(mu, start, gens), n) for f in (_lengths, lengths_by_walk))
+            got, want = (_result_or_error(f, Chain(mu, start, gens), n) for f in (lengths, lengths_by_walk))
             assert got == want, (mu, start, gens, n)
             outcomes.append(got)
     assert any(isinstance(o, str) for o in outcomes)
