@@ -333,25 +333,30 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
 
     for k, mus in sorted(by_k.items()):
         group = {mu: fresh(mu) for mu in mus}
+        checked: set[Partition] = set()
+        clean = True
         for mu in mus:
             star = coll.pairing[mu]
             if star < mu:
                 continue
             chain = group[mu]
             partner = group[star] if star in group else fresh(star)
-            rows += check_pair(chain, partner, k)
+            pair = check_pair(chain, partner, k)
+            rows += pair
+            checked |= {mu, star}
+            clean = clean and all(r.ok for _, r in pair)
             if opposite_n:
                 name = format_partition(mu)
                 try:
                     rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
                 except RuntimeError as e:
                     rows.append((name, CheckResult("opposite", False, str(e))))
-        fault = _disjoint_fault(group, k)
+        fault = _disjoint_fault(group, k, clean and checked == group.keys())
         disjoint.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
     return rows + disjoint
 
 
-def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:
+def _disjoint_fault(chains: dict[Partition, Chain], k: int, clean: bool) -> str:
     """The first class two deficit-k chains share up to dinv d_hi, or the first walk
     error; then, at a base deficit, the first dinv where the chains miss a class; "" if none.
 
@@ -359,8 +364,20 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int) -> str:
     for k <= BASE_K_MAX the chains must be a disjoint union of all of them
     through d_hi = coverage_bound(k) + 10.  Classes are keyed and counted
     by their partitions.
+
+    Above BASE_K_MAX, clean says that every chain passed check_pair with a
+    partner among chains.  Then d_hi is the largest base dinv of the
+    chains, and the witness is the one a walk to coverage_bound(k) + 10
+    finds: past its base dinv a passing chain is the nu1-orbit of its base
+    class and nd1_partition inverts nu1_partition, so two chains that
+    share a class above d_hi share one at d_hi, and each walk meets its
+    classes in dinv order.  Any other group is walked to
+    coverage_bound(k) + 10.
     """
-    d_hi = coverage_bound(k) + 10
+    if clean and k > BASE_K_MAX:
+        d_hi = max((ti_dinv(chain.mu) for chain in chains.values()), default=0)
+    else:
+        d_hi = coverage_bound(k) + 10
     owner: dict[Partition, Partition] = {}
     for mu, chain in chains.items():
         try:
@@ -528,7 +545,7 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
             if phi(mu)[0] not in pairing:
                 continue
             ctx = build_context(cur, mu)
-            if not needed_partitions(ctx) <= set(chains):
+            if not needed_partitions(ctx) <= chains.keys():
                 continue
             built = build_flagpole_pair(cur, ctx)
             bad = [r for _, r in check_pair(built[ctx.mu], built[ctx.mu_star], d) if not r.ok]

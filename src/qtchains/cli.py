@@ -195,7 +195,8 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if chain is None:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
-    print(cat_n_mu(args.n, chain))
+    cat_n_mu(args.n, chain).write(sys.stdout)
+    print()
     return 0
 
 

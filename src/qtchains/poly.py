@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
+from operator import itemgetter
+from typing import Iterator, TextIO
+
+CHUNK_TERMS = 4096  # terms QtPolynomial.write joins into one string
 
 
 class QtPolynomial:
@@ -31,12 +36,12 @@ class QtPolynomial:
         """Exchange q and t."""
         return QtPolynomial({(t, q): c for (q, t), c in self.terms.items()})
 
-    def __str__(self) -> str:
-        """Terms with ascending t exponent, ties by descending q exponent."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (qe, te) in sorted(self.terms, key=lambda k: (k[1], -k[0])):
+    def _pieces(self) -> Iterator[str]:
+        """Each term as text, with ascending t exponent, ties by descending q exponent."""
+        # two stable sorts on keys the terms already hold, no key tuple per term
+        order = sorted(self.terms, key=itemgetter(0), reverse=True)
+        order.sort(key=itemgetter(1))
+        for qe, te in order:
             c = self.terms[(qe, te)]
             factors = []
             if c != 1 or (qe == 0 and te == 0):
@@ -45,8 +50,22 @@ class QtPolynomial:
                 factors.append("q" if qe == 1 else f"q^{qe}")
             if te:
                 factors.append("t" if te == 1 else f"t^{te}")
-            pieces.append(" ".join(factors))
-        return " + ".join(pieces)
+            yield " ".join(factors)
+
+    def __str__(self) -> str:
+        """Terms with ascending t exponent, ties by descending q exponent."""
+        return " + ".join(self._pieces()) if self.terms else "0"
+
+    def write(self, out: TextIO) -> None:
+        """Write str(self) to out, joining at most CHUNK_TERMS terms at a time."""
+        if not self.terms:
+            out.write("0")
+            return
+        pieces = self._pieces()
+        sep = ""
+        while chunk := " + ".join(islice(pieces, CHUNK_TERMS)):
+            out.write(sep + chunk)
+            sep = " + "
 
     __repr__ = __str__
 

@@ -40,6 +40,7 @@ class Chain:
         self.start_dinv = start_dinv
         self.generators = [tuple(g) for g in generators]
         self._parts: list[Partition] = []  # partitions of the elements' classes
+        self._minds: list[int] = []  # reduced length of each element, mind of its partition
         self._starts: list[int] = []  # index of the first element of each segment walked
         self._base_slot = ti_dinv(self.mu) - start_dinv  # index of the element at the base dinv
 
@@ -49,29 +50,45 @@ class Chain:
     def _grow(self, need: int) -> None:
         """Walk the segments until at least need elements are held.
 
-        Each first-order step is surgery on the partition of the last
-        element.  Only the final segment may reach the base dinv of mu,
-        where a valid chain holds its final generator; a non-final segment
-        still running there, or a final segment that stops, raises
-        RuntimeError.
+        Each first-order step is surgery on the partition p of the last
+        element and takes its mind to max(mind(p), len(p) + 2), so only a
+        segment's first element computes mind.  Only the final segment may
+        reach the base dinv of mu, where a valid chain holds its final
+        generator; a non-final segment still running there, or a final
+        segment that stops, raises RuntimeError.
         """
-        parts = self._parts
+        parts, minds, starts = self._parts, self._minds, self._starts
+        if len(parts) >= need:
+            return
         last = len(self.generators) - 1
-        while len(parts) < need:
-            p = nu1_partition(parts[-1]) if parts else None
-            seg = len(self._starts) - 1
+        seg = len(starts) - 1
+        p = None
+        if parts:
+            p = nu1_partition(parts[-1])
+            m = max(minds[-1], len(parts[-1]) + 2)
+        while True:
             if p is None:
                 if seg == last:
                     raise RuntimeError(f"final segment of {self} stopped")
                 seg += 1
                 p = partition_from_class(self.generators[seg])
+                m = mind(p)
             if seg < last and len(parts) >= self._base_slot:
                 raise RuntimeError(
                     f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
                 )
-            if seg == len(self._starts):
-                self._starts.append(len(parts))
-            parts.append(p)
+            if seg == len(starts):
+                starts.append(len(parts))
+            # the segment from p on, to need or, unless it is final, to the base slot
+            while True:
+                parts.append(p)
+                minds.append(m)
+                if len(parts) >= need:
+                    return
+                m = max(m, len(p) + 2)
+                p = nu1_partition(p)
+                if p is None or seg < last and len(parts) == self._base_slot:
+                    break
 
     def walk(self) -> Iterator[Partition]:
         """Partitions of the chain elements in order, each walked only when it is reached."""
@@ -183,14 +200,14 @@ class ChainCheck(NamedTuple):
 def check_chain(chain: Chain) -> ChainCheck:
     """Walk chain once, on partitions, to its amh horizon and run its one-chain rows.
 
-    The length profile is the mind of each partition; class vectors are
-    built only for witnesses.
+    The length profile is the mind of each partition, carried along the
+    walk; class vectors are built only for witnesses.
     """
     try:
         parts = chain.partitions_upto(chain.amh_horizon())
     except RuntimeError as e:
         return ChainCheck(chain, [_res("basic-a", False, str(e))], [], None)
-    prof = [mind(p) for p in parts]
+    prof = chain._minds[:len(parts)]
     amh = amh_vectors(chain.start_dinv, prof)
     rows = check_basic(chain, parts, prof) + check_local(chain, prof, amh) + check_extra(
         chain, parts, prof, amh
@@ -425,8 +442,8 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int, int]]:
     base = partition_from_class(ti(chain.mu))
     out = []
     d = chain.start_dinv
-    for p in chain.walk():
-        ln = mind(p)
+    for i, p in enumerate(chain.walk()):
+        ln = chain._minds[i]
         if d == base_dinv and p == base:
             reps = 1
             while ln <= n_max:

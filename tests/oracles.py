@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import Iterator
 
-from qtchains.builder import ChainCollection, Segment, _search_setup
+from qtchains.builder import BASE_K_MAX, ChainCollection, Segment, _search_setup
 from qtchains.dyck import (
     Vector,
     area,
@@ -24,7 +25,9 @@ from qtchains.dyck import (
     starts_00,
 )
 from qtchains.flagpole import v_template
-from qtchains.partitions import Partition, format_partition, partitions_of, read_number
+from qtchains.partitions import (
+    Partition, count_partitions_max, format_partition, partitions_of, read_number
+)
 from qtchains.poly import QtPolynomial
 from qtchains.steps import nd, nu, nu1, nu1_partition, nu2_partition
 from qtchains.tails import (
@@ -648,6 +651,32 @@ def tail2_iter(mu: Partition) -> Iterator[Partition]:
             if q is None:
                 raise RuntimeError(f"extended orbit of {mu} stopped at {class_from_partition(p)}")
         p = q
+
+
+def disjoint_fault_by_walk(chains: dict[Partition, Chain], k: int) -> str:
+    """The disjoint row of builder as it was before it stopped clean groups
+    at their largest base dinv: every chain is walked to coverage_bound(k) + 10.
+
+    The first class two chains share, or the first walk error; then, at a
+    base deficit, the first dinv where the chains miss a class; "" if none.
+    """
+    d_hi = coverage_bound(k) + 10
+    owner: dict[Partition, Partition] = {}
+    for mu, chain in chains.items():
+        try:
+            parts = chain.partitions_upto(d_hi)
+        except RuntimeError as e:
+            return str(e)
+        for p in parts:
+            if owner.setdefault(p, mu) != mu:
+                c = format_vector(class_from_partition(p))
+                return f"{c} in {format_partition(owner[p])} and {format_partition(mu)}"
+    if k <= BASE_K_MAX:
+        held = Counter(map(partition_dinv, owner))
+        for d in range(d_hi + 1):
+            if held[d] != count_partitions_max(k, d):
+                return f"chains hold {held[d]} of the {count_partitions_max(k, d)} classes at dinv {d}"
+    return ""
 
 
 def check_pair_by_clauses(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:

@@ -9,8 +9,8 @@ from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, valid
 from qtchains.dyck import class_from_partition, dinv, mind, parse_vector
 from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
-from qtchains.steps import nd
-from qtchains.tails import ti, ti_dinv
+from qtchains.steps import nd, nu1_partition
+from qtchains.tails import coverage_bound, ti, ti_dinv
 from qtchains.verify import (
     AmhVectors,
     Chain,
@@ -26,7 +26,13 @@ from qtchains.verify import (
 )
 
 from oracles import (
-    cat_n_mu_by_lookup, chain_amh, check_pair_by_clauses, lengths_by_walk, lift, opposite_per_n
+    cat_n_mu_by_lookup,
+    chain_amh,
+    check_pair_by_clauses,
+    disjoint_fault_by_walk,
+    lengths_by_walk,
+    lift,
+    opposite_per_n,
 )
 
 
@@ -268,7 +274,7 @@ def damaged_report(coll, k_max: int) -> list[str]:
             rows = check_pair(bad, bad if star == mu else coll.chain(star), k)
             out.append(f"{mu} {op} {i}")
             out += [f"  {ctx}: {line}" for (ctx, _), line in zip(rows, report_lines([r for _, r in rows]))]
-            out.append(f"  disjoint: {_disjoint_fault(group, k)}")
+            out.append(f"  disjoint: {_disjoint_fault(group, k, all(r.ok for _, r in rows))}")
     return out
 
 
@@ -277,6 +283,68 @@ def test_damaged_chains_keep_their_rows(coll12):
     assert sum(not line.startswith(" ") for line in report) == DAMAGED_VARIANTS
     assert any("FAIL" in line for line in report)
     assert hashlib.sha256("\n".join(report).encode()).hexdigest() == DAMAGED_DIGEST
+
+
+def _fresh(group: dict) -> dict:
+    return {mu: _copy(c) for mu, c in group.items()}
+
+
+def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
+    """Every deficit of the deficit-16 and the generalized deficit-12
+    collections, each group clean as its pairs pass check_pair: the row
+    walked to the largest base dinv gives the witness of the walk to
+    coverage_bound(k) + 10.  Above the base deficits, each group is also
+    tried with its first chain replaced by the bare final orbit of one of
+    its last three members, which shares only classes at or past that
+    member's base dinv."""
+    shared = 0
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for k in range(coll.k_max + 1):
+            group = {mu: _copy(coll.chain(mu)) for mu in coll.members() if sum(mu) == k}
+            clean = all(
+                r.ok for mu, star in coll.pairs() if sum(mu) == k
+                for _, r in check_pair(group[mu], group[star], k)
+            )
+            assert clean
+            assert _disjoint_fault(group, k, clean) == disjoint_fault_by_walk(_fresh(group), k), k
+            if k <= builder.BASE_K_MAX:
+                continue
+            first, *rest = group
+            for mu in rest[-3:]:
+                damaged = {**group, first: Chain(mu, ti_dinv(mu), [ti(mu)])}
+                want = disjoint_fault_by_walk(_fresh(damaged), k)
+                assert _disjoint_fault(damaged, k, True) == want != "", (k, mu)
+                shared += 1
+    assert shared == 3 * (11 + 7)
+
+
+# partitions validate_collection walks on the deficit-16 collection; 32,920
+# when every chain was walked to coverage_bound(k) + 10
+WALKED_BY_VERIFY_16 = 19_584
+
+
+def test_disjoint_row_stops_clean_groups_at_their_largest_base_dinv(monkeypatch, coll16):
+    """validate_collection on the deficit-16 collection walks each chain above the base
+    deficits only to the largest base dinv of its deficit (or its own amh
+    horizon, when that lies further), not to coverage_bound(k) + 10."""
+    made: list[Chain] = []
+
+    class Recorded(Chain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(builder, "Chain", Recorded)
+    rows = validate_collection(coll16)
+    assert len(rows) == 3145 and all(r.ok for _, r in rows)
+    tops = {}
+    for c in made:
+        tops[sum(c.mu)] = max(tops.get(sum(c.mu), 0), ti_dinv(c.mu))
+    for c in made:
+        k = sum(c.mu)
+        top = coverage_bound(k) + 10 if k <= builder.BASE_K_MAX else max(tops[k], c.amh_horizon())
+        assert len(c._parts) == top - c.start_dinv + 1, c
+    assert sum(len(c._parts) for c in made) == WALKED_BY_VERIFY_16
 
 
 def test_check_pair_matches_the_clause_oracle(base_coll, coll16):
@@ -529,6 +597,32 @@ def test_lengths_match_the_walk_on_damaged_chains(coll12):
             outcomes.append(got)
     assert any(isinstance(o, str) for o in outcomes)
     assert any(isinstance(o, list) and o for o in outcomes)
+
+
+def test_mind_after_a_first_order_step():
+    """Surgery raises the reduced length to max(mind(p), len(p) + 2), on
+    every partition of size at most 25 that has a first-order step."""
+    steps = 0
+    for n in range(26):
+        for p in partitions_of(n):
+            q = nu1_partition(p)
+            if q is not None:
+                assert mind(q) == max(mind(p), len(p) + 2), p
+                steps += 1
+    assert steps == 6_286
+
+
+def test_walk_carries_the_reduced_lengths(coll16):
+    """Every chain of the deficit-16 collection, walked at once to
+    coverage_bound(k) + 10 and one element at a time as far: the lengths
+    carried along the walk are the mind of each partition."""
+    for mu in coll16.members():
+        d = coverage_bound(sum(mu)) + 10
+        chain, stepped = _copy(coll16.chain(mu)), _copy(coll16.chain(mu))
+        parts = chain.partitions_upto(d)
+        assert chain._minds[: len(parts)] == [mind(p) for p in parts], mu
+        assert [p for _, p in zip(parts, stepped.walk())] == parts
+        assert stepped._minds == chain._minds, mu
 
 
 def test_share_keeps_only_the_finite_part(base_coll):
