@@ -361,21 +361,21 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int, clean: bool) -> str:
     error; then, at a base deficit, the first dinv where the chains miss a class; "" if none.
 
     The deficit-k classes at dinv d number count_partitions_max(k, d), so
-    for k <= BASE_K_MAX the chains must be a disjoint union of all of them
-    through d_hi = coverage_bound(k) + 10.  Classes are keyed and counted
-    by their partitions.
+    for k <= BASE_K_MAX the chains must be a disjoint union of all of them.
+    Classes are keyed and counted by their partitions.
 
-    Above BASE_K_MAX, clean says that every chain passed check_pair with a
-    partner among chains.  Then d_hi is the largest base dinv of the
+    clean says that every chain passed check_pair with a partner among
+    chains.  Then d_hi is the larger of k and the largest base dinv of the
     chains, and the witness is the one a walk to coverage_bound(k) + 10
     finds: past its base dinv a passing chain is the nu1-orbit of its base
     class and nd1_partition inverts nu1_partition, so two chains that
     share a class above d_hi share one at d_hi, and each walk meets its
-    classes in dinv order.  Any other group is walked to
-    coverage_bound(k) + 10.
+    classes in dinv order.  Above d_hi each chain holds one class per dinv
+    and count_partitions_max(k, d) is p(k) for d >= k, so each count above
+    d_hi is the count at d_hi.  Other groups walk to coverage_bound(k) + 10.
     """
-    if clean and k > BASE_K_MAX:
-        d_hi = max((ti_dinv(chain.mu) for chain in chains.values()), default=0)
+    if clean:
+        d_hi = max([k, *(ti_dinv(chain.mu) for chain in chains.values())])
     else:
         d_hi = coverage_bound(k) + 10
     owner: dict[Partition, Partition] = {}

@@ -22,7 +22,7 @@ from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bou
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
 from .tails import absorption_counts, plateau, s_vectors, tail_classes, ti, ti2, ti_mind
-from .verify import cat_n_mu, report_lines
+from .verify import report_lines, share_text
 
 
 # Stated budgets, each about 3 s in a cold process on a 2-vCPU host.
@@ -195,8 +195,7 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if chain is None:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
-    cat_n_mu(args.n, chain).write(sys.stdout)
-    print()
+    print(share_text(args.n, chain))
     return 0
 
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb
 from operator import itemgetter
-from typing import Iterator, TextIO
-
-CHUNK_TERMS = 4096  # terms QtPolynomial.write joins into one string
+from typing import Iterable
 
 
 class QtPolynomial:
@@ -36,38 +33,29 @@ class QtPolynomial:
         """Exchange q and t."""
         return QtPolynomial({(t, q): c for (q, t), c in self.terms.items()})
 
-    def _pieces(self) -> Iterator[str]:
-        """Each term as text, with ascending t exponent, ties by descending q exponent."""
+    def __str__(self) -> str:
+        """Terms with ascending t exponent, ties by descending q exponent."""
         # two stable sorts on keys the terms already hold, no key tuple per term
         order = sorted(self.terms, key=itemgetter(0), reverse=True)
         order.sort(key=itemgetter(1))
-        for qe, te in order:
-            c = self.terms[(qe, te)]
-            factors = []
-            if c != 1 or (qe == 0 and te == 0):
-                factors.append(str(c))
-            if qe:
-                factors.append("q" if qe == 1 else f"q^{qe}")
-            if te:
-                factors.append("t" if te == 1 else f"t^{te}")
-            yield " ".join(factors)
-
-    def __str__(self) -> str:
-        """Terms with ascending t exponent, ties by descending q exponent."""
-        return " + ".join(self._pieces()) if self.terms else "0"
-
-    def write(self, out: TextIO) -> None:
-        """Write str(self) to out, joining at most CHUNK_TERMS terms at a time."""
-        if not self.terms:
-            out.write("0")
-            return
-        pieces = self._pieces()
-        sep = ""
-        while chunk := " + ".join(islice(pieces, CHUNK_TERMS)):
-            out.write(sep + chunk)
-            sep = " + "
+        return format_terms((key, self.terms[key]) for key in order)
 
     __repr__ = __str__
+
+
+def format_terms(terms: Iterable[tuple[tuple[int, int], int]]) -> str:
+    """((q_exp, t_exp), coefficient) terms as text in the order given, "0" for none."""
+    def term(qe: int, te: int, c: int) -> str:
+        factors = []
+        if c != 1 or (qe == 0 and te == 0):
+            factors.append(str(c))
+        if qe:
+            factors.append("q" if qe == 1 else f"q^{qe}")
+        if te:
+            factors.append("t" if te == 1 else f"t^{te}")
+        return " ".join(factors)
+
+    return " + ".join(term(qe, te, c) for (qe, te), c in terms) or "0"
 
 
 def cat_n(n: int) -> QtPolynomial:

@@ -110,32 +110,31 @@ class TailLocator(NamedTuple):
     mu: Partition
     plateau_index: int
     position: int
-    kind: str  # "split" for the 01Z'1^(j-1)Y form, "padded" for 01^a B 0^b
 
 
 def _locate_binary(r: Vector) -> TailLocator | None:
     if r == (0,):
-        return TailLocator((), 0, 0, "padded")
+        return TailLocator((), 0, 0)
     n = len(r)
     zeros = 0
     while zeros < n - 1 and r[n - 1 - zeros] == 0:
         zeros += 1
     core = r[: n - zeros]
     if core == (0,):
-        return TailLocator((), zeros, zeros - 1, "padded")
+        return TailLocator((), zeros, zeros - 1)
     a = 0
     while 1 + a < len(core) and core[1 + a] == 1:
         a += 1
     b = core[1 + a :]
     if not b:
-        return TailLocator((), a + zeros, zeros - 1, "padded")
+        return TailLocator((), a + zeros, zeros - 1)
     mu = partition_from_b_word(b)
     if mu is None or not mu:
         return None
     j = a + zeros
     if j == 0:
-        return TailLocator(mu, 0, 0, "padded")
-    return TailLocator(mu, j, (len(b) - 1) + zeros, "padded")
+        return TailLocator(mu, 0, 0)
+    return TailLocator(mu, j, (len(b) - 1) + zeros)
 
 
 def _locate_ternary(r: Vector) -> TailLocator | None:
@@ -157,7 +156,7 @@ def _locate_ternary(r: Vector) -> TailLocator | None:
     mu = partition_from_b_word(y + z)
     if mu is None or not mu:
         return None
-    return TailLocator(mu, u + 1, len(y) - 1, "split")
+    return TailLocator(mu, u + 1, len(y) - 1)
 
 
 def locate_in_tail(w: Vector) -> TailLocator | None:

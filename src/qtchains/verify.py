@@ -9,7 +9,7 @@ of chains a certificate for the joint symmetry of the path sums.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, repeat
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
@@ -17,7 +17,7 @@ from .dyck import (
     Vector, class_from_partition, dinv, mind, partition_dinv, partition_from_class, starts_00
 )
 from .partitions import Partition, format_partition
-from .poly import QtPolynomial
+from .poly import QtPolynomial, format_terms
 from .steps import nu1_partition, nu2_partition
 from .tails import staircase_profile, ti, ti2, ti_dinv, ti_mind
 
@@ -459,12 +459,16 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _share(n: int, chain: Chain, runs: list[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
+    """(q, t) exponents of cat_n_mu(n, chain) in ascending t, from the runs of a walk to
+    some n_max >= n: q^(C(n,2)-k-d) t^d for each dinv d of reduced length at most n."""
+    top = comb(n, 2) - sum(chain.mu)
+    return ((top - d, d) for d0, count, ln in runs if ln <= n for d in range(d0, d0 + count))
+
+
 def _path_sum(n: int, chain: Chain, runs: list[tuple[int, int, int]]) -> QtPolynomial:
     """cat_n_mu(n, chain) from the runs of a walk to some n_max >= n."""
-    top = comb(n, 2) - sum(chain.mu)
-    return QtPolynomial(
-        {(top - d, d): 1 for d0, count, ln in runs if ln <= n for d in range(d0, d0 + count)}
-    )
+    return QtPolynomial(dict.fromkeys(_share(n, chain, runs), 1))
 
 
 def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
@@ -473,6 +477,11 @@ def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
     Stops once the final orbit's reduced lengths pass n; they never return.
     """
     return _path_sum(n, chain, _lengths(chain, n))
+
+
+def share_text(n: int, chain: Chain) -> str:
+    """str(cat_n_mu(n, chain)) with no polynomial built: one term per t, in ascending t."""
+    return format_terms(zip(_share(n, chain, _lengths(chain, n)), repeat(1)))
 
 
 def _length_masks(

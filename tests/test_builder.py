@@ -499,6 +499,17 @@ def test_generalized_mode_extends_flagpole(base_coll):
                 assert mu in gen.chains
 
 
+def test_extend_skips_a_pair_whose_needed_chain_is_missing(base_coll):
+    """Every deficit-6 chain needs the chain of 0: 1^6 and 21^4 as their
+    flag type, 31^3 and 321 among the smaller chains they read.  Without it
+    all four are skipped, and nothing raises."""
+    keep = {mu: c for mu, c in base_coll.chains.items() if mu != ()}
+    short = ChainCollection(keep, {mu: base_coll.pairing[mu] for mu in keep}, BASE_K_MAX)
+    assert sum(sum(mu) == 6 for mu in extend_all(base_coll, 6).chains) == 4
+    out = extend_all(short, 6)
+    assert out.k_max == 6 and out.chains == keep
+
+
 def test_extend_rejects_unknown_mode(base_coll):
     with pytest.raises(ValueError):
         extend_all(base_coll, 6, mode="fast")

@@ -96,6 +96,24 @@ def test_ti2_trivial_orbit(capsys):
     ]
 
 
+def test_ti2_without_a_template_prints_no_stages(capsys):
+    """The extended base 01012 of 3 is not a flag template, so no stage is listed."""
+    assert run(["ti2", "3"]) == 0
+    assert lines(capsys) == [
+        "base 00001 dinv 6 len 5",
+        "extended 01012 dinv 3 len 5",
+    ]
+
+
+def test_tail_count_not_an_integer_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", "21", "--count", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --count: not an integer: 'x'" in captured.err
+
+
 def test_tail(capsys):
     assert run(["tail", "21", "--count", "3"]) == 0
     assert lines(capsys) == [

@@ -1,9 +1,7 @@
-import io
-import tracemalloc
 from math import comb
 
 from qtchains.dyck import defc, dinv
-from qtchains.poly import CHUNK_TERMS, QtPolynomial, cat_n, deficit_slice
+from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 
 from oracles import cat_n_by_lists, catalan_terms_bruteforce, dyck_vectors
 
@@ -16,39 +14,8 @@ def test_str_forms():
     assert str(QtPolynomial({(0, 2): 1})) == "t^2"
     assert str(QtPolynomial({(2, 1): 2, (0, 3): 1})) == "2 q^2 t + t^3"
     assert str(QtPolynomial({(1, 1): 1, (2, 0): 5})) == "5 q^2 + q t"
-
-
-class _Sink:
-    """A text stream that keeps only the length of what it is given."""
-
-    def __init__(self):
-        self.size = 0
-
-    def write(self, text: str) -> None:
-        self.size += len(text)
-
-
-def test_write_is_str_in_bounded_chunks():
-    """write gives str's text, ties in t by descending q, and joins only
-    CHUNK_TERMS terms at a time: on 100,000 terms it peaks at 2.4 MB, where
-    str, holding every term's text at once, peaks at 8.3 MB."""
-    tied = QtPolynomial({(1, 1): 1, (3, 1): 1, (2, 0): 1, (0, 4): 2})
-    assert str(tied) == "q^2 + q^3 t + q t + 2 t^4"
-    big = QtPolynomial({(i, 400 - i + j): 1 + (j % 3 == 0) for i in range(400) for j in range(250)})
-    for p in (QtPolynomial(), QtPolynomial({(0, 0): 3}), tied, cat_n(7), big):
-        out = io.StringIO()
-        p.write(out)
-        assert out.getvalue() == str(p)
-    assert len(big.terms) > 20 * CHUNK_TERMS
-    sink = _Sink()
-    tracemalloc.start()
-    try:
-        big.write(sink)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.size == len(str(big))
-    assert peak < 4_000_000, peak
+    # ties in t by descending q
+    assert str(QtPolynomial({(1, 1): 1, (3, 1): 1, (2, 0): 1, (0, 4): 2})) == "q^2 + q^3 t + q t + 2 t^4"
 
 
 def test_zero_terms_dropped():

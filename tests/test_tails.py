@@ -171,11 +171,11 @@ def test_staircase_profile_values():
 # ------------------------------------------------------------------ location
 
 def test_locate_goldens():
-    assert locate_in_tail(parse_vector("011110101")) == TailLocator((2, 1), 4, 3, "padded")
-    assert locate_in_tail(parse_vector("01211221")) == TailLocator((2, 2), 2, 4, "padded")
+    assert locate_in_tail(parse_vector("011110101")) == TailLocator((2, 1), 4, 3)
+    assert locate_in_tail(parse_vector("01211221")) == TailLocator((2, 2), 2, 4)
     assert reduce(parse_vector("01211221")) == parse_vector("0100110")
-    assert locate_in_tail(parse_vector("01122110")) == TailLocator((2, 2), 3, 0, "split")
-    assert locate_in_tail((0,)) == TailLocator((), 0, 0, "padded")
+    assert locate_in_tail(parse_vector("01122110")) == TailLocator((2, 2), 3, 0)
+    assert locate_in_tail((0,)) == TailLocator((), 0, 0)
     assert locate_in_tail(parse_vector("0012")) is None
 
 

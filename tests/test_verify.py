@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from qtchains.verify import (
     check_pair,
     opposite_bruteforce,
     report_lines,
+    share_text,
 )
 
 from oracles import (
@@ -248,6 +250,17 @@ def test_chain_without_base_generator_fails(base_coll):
     unmaterializable_fails(base_coll, bad, "final segment of Chain(1^5, start=5) stopped")
 
 
+def test_check_pair_reports_a_partner_that_cannot_be_walked(base_coll):
+    """The chain passes its own rows and its partner 21 lacks its base
+    generator: the pair gives the partner's single basic-a row, under the
+    partner's name."""
+    star = base_coll.chain((2, 1))
+    bad = Chain(star.mu, star.start_dinv, star.generators[:-1])
+    assert check_pair(_copy(base_coll.chain((1, 1, 1))), bad, 3) == [
+        ("21", CheckResult("basic-a", False, "final segment of Chain(21, start=3) stopped"))
+    ]
+
+
 # rows and disjoint witnesses of every drop/duplicate variant below, as the
 # class-vector chains reported them; the partition walk must not change a line
 DAMAGED_VARIANTS = 867
@@ -292,12 +305,13 @@ def _fresh(group: dict) -> dict:
 def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
     """Every deficit of the deficit-16 and the generalized deficit-12
     collections, each group clean as its pairs pass check_pair: the row
-    walked to the largest base dinv gives the witness of the walk to
-    coverage_bound(k) + 10.  Above the base deficits, each group is also
-    tried with its first chain replaced by the bare final orbit of one of
-    its last three members, which shares only classes at or past that
-    member's base dinv."""
-    shared = 0
+    walked to the larger of k and the largest base dinv gives the witness
+    of the walk to coverage_bound(k) + 10.  From deficit 2 on, each group
+    is also tried with its first chain replaced by the bare final orbit of
+    one of its last three members, which shares only classes at or past
+    that member's base dinv; and each base deficit from 2 on without its
+    last chain, which leaves classes uncovered."""
+    shared = missing = 0
     for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
         for k in range(coll.k_max + 1):
             group = {mu: _copy(coll.chain(mu)) for mu in coll.members() if sum(mu) == k}
@@ -307,26 +321,31 @@ def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
             )
             assert clean
             assert _disjoint_fault(group, k, clean) == disjoint_fault_by_walk(_fresh(group), k), k
-            if k <= builder.BASE_K_MAX:
-                continue
             first, *rest = group
             for mu in rest[-3:]:
                 damaged = {**group, first: Chain(mu, ti_dinv(mu), [ti(mu)])}
                 want = disjoint_fault_by_walk(_fresh(damaged), k)
                 assert _disjoint_fault(damaged, k, True) == want != "", (k, mu)
                 shared += 1
-    assert shared == 3 * (11 + 7)
+            if k <= builder.BASE_K_MAX and rest:
+                damaged = {mu: group[mu] for mu in [first, *rest[:-1]]}
+                want = disjoint_fault_by_walk(_fresh(damaged), k)
+                assert _disjoint_fault(damaged, k, True) == want != "", k
+                missing += 1
+    assert shared == 2 * (1 + 2 + 3 + 3) + 3 * (11 + 7)
+    assert missing == 2 * 4
 
 
 # partitions validate_collection walks on the deficit-16 collection; 32,920
-# when every chain was walked to coverage_bound(k) + 10
-WALKED_BY_VERIFY_16 = 19_584
+# when every chain was walked to coverage_bound(k) + 10, 19,584 when the
+# base deficits still were
+WALKED_BY_VERIFY_16 = 19_136
 
 
 def test_disjoint_row_stops_clean_groups_at_their_largest_base_dinv(monkeypatch, coll16):
-    """validate_collection on the deficit-16 collection walks each chain above the base
-    deficits only to the largest base dinv of its deficit (or its own amh
-    horizon, when that lies further), not to coverage_bound(k) + 10."""
+    """validate_collection on the deficit-16 collection walks each chain only
+    to the larger of its deficit and the largest base dinv of its deficit (or
+    its own amh horizon, when that lies further), not to coverage_bound(k) + 10."""
     made: list[Chain] = []
 
     class Recorded(Chain):
@@ -342,7 +361,7 @@ def test_disjoint_row_stops_clean_groups_at_their_largest_base_dinv(monkeypatch,
         tops[sum(c.mu)] = max(tops.get(sum(c.mu), 0), ti_dinv(c.mu))
     for c in made:
         k = sum(c.mu)
-        top = coverage_bound(k) + 10 if k <= builder.BASE_K_MAX else max(tops[k], c.amh_horizon())
+        top = max(tops[k], k, c.amh_horizon())
         assert len(c._parts) == top - c.start_dinv + 1, c
     assert sum(len(c._parts) for c in made) == WALKED_BY_VERIFY_16
 
@@ -634,3 +653,33 @@ def test_share_keeps_only_the_finite_part(base_coll):
     share = cat_n_mu(340, chain)
     assert len(chain._parts) <= chain._base_slot + 1
     assert len(share.terms) == 1 + sum(range(3, 340))
+
+
+def test_share_text_is_the_str_of_the_share(base_coll, coll16):
+    """Every chain of the deficit-16 and the generalized deficit-12
+    collections: share_text writes str(cat_n_mu) at every n tried, the
+    empty share "0" among them."""
+    empty = 0
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for mu in coll.members():
+            chain = coll.chain(mu)
+            for n in (0, 1, 6, 13, 40):
+                want = str(cat_n_mu(n, _copy(chain)))
+                assert share_text(n, _copy(chain)) == want, (mu, n)
+                empty += want == "0"
+    assert empty > 0
+
+
+def test_share_text_builds_no_polynomial(base_coll):
+    """At N = 900 on the chain of 1 (404,548 terms), share_text peaks at
+    38 MB under tracemalloc, against 110 MB for str(cat_n_mu(900, ...)),
+    which builds the polynomial and sorts its terms; the texts are equal."""
+    chain = base_coll.chain((1,))
+    tracemalloc.start()
+    try:
+        text = share_text(900, _copy(chain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55_000_000, peak
+    assert text == str(cat_n_mu(900, _copy(chain)))
