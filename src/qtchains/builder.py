@@ -286,6 +286,8 @@ def load_collection(path: str | Path) -> ChainCollection:
             raise ValueError(f"repeated record for {rec['mu']}")
         if sum(mu) > payload["k_max"]:
             raise ValueError(f"{rec['mu']} has deficit {sum(mu)}, above k_max {payload['k_max']}")
+        if rec["start"] < 0:
+            raise ValueError(f"{rec['mu']} has start {rec['start']}, below the least dinv 0")
         star = partition(rec["partner"])
         if sum(star) != sum(mu):
             raise ValueError(f"pairing changes size: {rec['mu']} is paired with {rec['partner']}")
@@ -398,33 +400,19 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int, clean: bool) -> str:
 
 # ---------------------------------------------------------------- extension
 
-class BuildContext(NamedTuple):
-    """Template data for one new chain pair.
-
-    sources[j] is the deficit label of the orbit holding the trimmed stage
-    vector stages.s_vectors[j + 1], and sources_star the same for the
-    partner; each is located once per context.
-    """
+class Side(NamedTuple):
+    """One side of a template-based pair: mu, its flag type lam, the stages
+    of its extended orbit, and sources[j], the deficit label of the orbit
+    holding the trimmed stage vector stages.s_vectors[j + 1], located once."""
 
     mu: Partition
-    mu_star: Partition
     lam: Partition
-    lam_star: Partition
     stages: TailTwoSummary
-    stages_star: TailTwoSummary
     sources: tuple[Partition, ...]
-    sources_star: tuple[Partition, ...]
-
-    def swapped(self) -> BuildContext:
-        """The same pair seen from the partner's side."""
-        return BuildContext(
-            self.mu_star, self.mu, self.lam_star, self.lam, self.stages_star, self.stages,
-            self.sources_star, self.sources,
-        )
 
 
-def build_context(coll: ChainCollection, mu: Partition) -> BuildContext:
-    """Resolve the partner and stage data for a template-based pair."""
+def build_context(coll: ChainCollection, mu: Partition) -> tuple[Side, Side]:
+    """The two sides of mu's template-based pair: mu's, then its partner's."""
     mu = tuple(mu)
     match = phi(mu)
     if match is None:
@@ -436,18 +424,17 @@ def build_context(coll: ChainCollection, mu: Partition) -> BuildContext:
     v = ti2(mu)
     mu_star = psi_inv(lam_star, len(v), area(v) % 2)
     v_star = ti2(mu_star)
-    k = sum(mu)
-    if len(v_star) != len(v) or sum(mu_star) != k:
+    if len(v_star) != len(v) or sum(mu_star) != sum(mu):
         raise RuntimeError(f"partner data of {format_partition(mu)} is inconsistent")
-    budget = comb(len(v), 2) - k
-    if dinv(v) + area(v) != budget or dinv(v_star) + area(v_star) != budget:
-        raise RuntimeError(f"stat identity fails for {format_partition(mu)}")
-    stages, stages_star = s_vectors(v), s_vectors(v_star)
-    return BuildContext(
-        mu, mu_star, lam, lam_star, stages, stages_star,
-        tuple(map(_stage_source, stages.s_vectors[1:])),
-        tuple(map(_stage_source, stages_star.s_vectors[1:])),
-    )
+    return _side(mu, lam, v, mu), _side(mu_star, lam_star, v_star, mu)
+
+
+def _side(mu: Partition, lam: Partition, v: Vector, pair: Partition) -> Side:
+    """The side of mu, with flag type lam and v = ti2(mu), in the pair resolved for pair."""
+    if dinv(v) + area(v) != comb(len(v), 2) - sum(mu):
+        raise RuntimeError(f"stat identity fails for {format_partition(pair)}")
+    stages = s_vectors(v)
+    return Side(mu, lam, stages, tuple(map(_stage_source, stages.s_vectors[1:])))
 
 
 def _stage_source(s_vec: Vector) -> Partition:
@@ -460,9 +447,9 @@ def _stage_source(s_vec: Vector) -> Partition:
     return loc.mu
 
 
-def needed_partitions(ctx: BuildContext) -> set[Partition]:
+def needed_partitions(ctx: tuple[Side, Side]) -> set[Partition]:
     """Smaller deficit labels whose chains the assembly consults."""
-    return {ctx.lam, ctx.lam_star, *ctx.sources, *ctx.sources_star}
+    return {p for side in ctx for p in (side.lam, *side.sources)}
 
 
 def _lifted_element(chain: Chain, d: int, length: int) -> Vector:
@@ -478,33 +465,31 @@ def bridge_vector(coll: ChainCollection, lam: Partition, i: int, length: int) ->
     return _lifted_element(coll.chains[tuple(lam)], i - 1, length)
 
 
-def _mirror(coll: ChainCollection, rho: Partition, s_vec: Vector) -> Vector:
-    """Area-dinv mirror of a stage vector whose orbit label is rho."""
+def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
+    """Area-dinv mirror of a stage vector, through the partner of its orbit label."""
+    rho = _stage_source(s_vec)
     return _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
 
 
-def antipode(coll: ChainCollection, s_vec: Vector) -> Vector:
-    """Area-dinv mirror of a stage vector, through the partner of its orbit label."""
-    return _mirror(coll, _stage_source(s_vec), s_vec)
-
-
-def _assemble(coll: ChainCollection, ctx: BuildContext) -> Chain:
-    """The chain of ctx.mu: partner antipodes, then bridges, then its own stages."""
-    stages, stages_star = ctx.stages, ctx.stages_star
+def _assemble(coll: ChainCollection, side: Side, other: Side) -> Chain:
+    """The chain of side.mu: the antipodes of other's stages, then bridges, then its own stages."""
     gens = [
-        _mirror(coll, rho, s_vec)
-        for rho, s_vec in zip(ctx.sources_star[::-1], stages_star.s_vectors[:0:-1])
+        _lifted_element(coll.chains[coll.pairing[rho]], sum(s_vec) - 1, len(s_vec))
+        for rho, s_vec in zip(other.sources[::-1], other.stages.s_vectors[:0:-1])
     ]
-    for i in range(area(stages_star.v), dinv(stages.v) - 1, 2):
-        gens.append(bridge_vector(coll, ctx.lam, i, len(stages.v)))
-    gens.extend(stages.s_vectors)
-    return Chain(ctx.mu, len(ctx.mu_star), gens)
+    for i in range(area(other.stages.v), dinv(side.stages.v) - 1, 2):
+        gens.append(bridge_vector(coll, side.lam, i, len(side.stages.v)))
+    gens.extend(side.stages.s_vectors)
+    return Chain(side.mu, len(other.mu), gens)
 
 
-def build_flagpole_pair(coll: ChainCollection, ctx: BuildContext) -> dict[Partition, Chain]:
-    """Assemble the chain pair that ctx resolved, keyed by partition."""
-    sides = [ctx] if ctx.mu_star == ctx.mu else [ctx, ctx.swapped()]
-    return {side.mu: _assemble(coll, side) for side in sides}
+def build_flagpole_pair(coll: ChainCollection, ctx: tuple[Side, Side]) -> dict[Partition, Chain]:
+    """Assemble the chain pair that build_context resolved, keyed by partition.
+
+    A self-paired side is assembled once."""
+    ours, theirs = ctx
+    sides = [ctx] if ours.mu == theirs.mu else [ctx, (theirs, ours)]
+    return {side.mu: _assemble(coll, side, other) for side, other in sides}
 
 
 def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCollection:
@@ -544,11 +529,11 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
             # either test passing means the base of mu is a template
             if phi(mu)[0] not in pairing:
                 continue
-            ctx = build_context(cur, mu)
+            ours, theirs = ctx = build_context(cur, mu)
             if not needed_partitions(ctx) <= chains.keys():
                 continue
             built = build_flagpole_pair(cur, ctx)
-            bad = [r for _, r in check_pair(built[ctx.mu], built[ctx.mu_star], d) if not r.ok]
+            bad = [r for _, r in check_pair(built[ours.mu], built[theirs.mu], d) if not r.ok]
             if bad:
                 raise RuntimeError(
                     f"assembled pair for {format_partition(mu)} fails "
@@ -556,6 +541,6 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
                 )
             # keep generators only: later deficits walk just the prefixes they read
             chains.update({m: Chain(m, c.start_dinv, c.generators) for m, c in built.items()})
-            pairing[ctx.mu] = ctx.mu_star
-            pairing[ctx.mu_star] = ctx.mu
+            pairing[ours.mu] = theirs.mu
+            pairing[theirs.mu] = ours.mu
     return ChainCollection(chains, pairing, k)

@@ -7,6 +7,8 @@ from typing import Iterator
 
 Partition = tuple[int, ...]
 
+PARTS_MAX = 100_000  # parts of a parsed word; a longer word is above every limit of the CLI
+
 
 def read_number(text: str, i: int) -> tuple[int, int]:
     """The digit or parenthesized integer at text[i], and the index after it."""
@@ -24,7 +26,9 @@ def parse_partition(text: str) -> Partition:
 
     '0' denotes the empty partition; an empty word is an error.  Parts
     above 9 are parenthesized; an exponent must be positive.  Parts and
-    exponents are checked run by run, and the parts are expanded once.
+    exponents are checked run by run, and the parts are expanded once, after
+    their number is checked against PARTS_MAX: more parts than that force a
+    reduced length above the `stats` limit, and every |MU| limit is lower.
     """
     s = text.strip()
     if not s:
@@ -47,6 +51,8 @@ def parse_partition(text: str) -> Partition:
         if runs and runs[-1][0] < val:
             raise ValueError(f"part {val} after {runs[-1][0]}: parts not weakly decreasing in {text!r}")
         runs.append((val, mult))
+    if (n := sum(mult for _, mult in runs)) > PARTS_MAX:
+        raise ValueError(f"part count {n} is above the limit {PARTS_MAX}")
     parts: list[int] = []
     for val, mult in runs:
         parts += [val] * mult

@@ -201,10 +201,13 @@ def check_chain(chain: Chain) -> ChainCheck:
     """Walk chain once, on partitions, to its amh horizon and run its one-chain rows.
 
     The length profile is the mind of each partition, carried along the
-    walk; class vectors are built only for witnesses.
+    walk; class vectors are built only for witnesses.  A chain that starts
+    above its horizon holds no element to check and fails basic-a alone.
     """
     try:
         parts = chain.partitions_upto(chain.amh_horizon())
+        if not parts:
+            raise RuntimeError(f"{chain} starts above its amh horizon {chain.amh_horizon()}")
     except RuntimeError as e:
         return ChainCheck(chain, [_res("basic-a", False, str(e))], [], None)
     prof = chain._minds[:len(parts)]

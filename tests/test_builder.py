@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -434,20 +435,20 @@ def test_k12_profile_golden(coll12):
 
 
 def test_k12_build_context(coll12):
-    ctx = build_context(coll12, parse_partition("531^4"))
-    assert ctx.lam == (3, 1)
-    assert ctx.lam_star == (2, 2)
-    assert ctx.mu_star == parse_partition("3^221^4")
-    assert ctx.stages.dinvs == (21, 23, 35, 48)
+    ctx = ours, theirs = build_context(coll12, parse_partition("531^4"))
+    assert ours.lam == (3, 1)
+    assert theirs.lam == (2, 2)
+    assert theirs.mu == parse_partition("3^221^4")
+    assert ours.stages.dinvs == (21, 23, 35, 48)
     want = {"2", "21", "2^2", "3", "31"}
     assert {format_partition(p) for p in needed_partitions(ctx)} == want
 
 
 def test_k12_assembly_pieces(coll12):
-    ctx = build_context(coll12, parse_partition("531^4"))
-    assert bridge_vector(coll12, ctx.lam, 13, 10) == parse_vector("0012334232")
-    assert bridge_vector(coll12, ctx.lam, 19, 10) == parse_vector("0012232121")
-    assert antipode(coll12, ctx.stages_star.s_vectors[3]) == parse_vector("00123456645")
+    ours, theirs = build_context(coll12, parse_partition("531^4"))
+    assert bridge_vector(coll12, ours.lam, 13, 10) == parse_vector("0012334232")
+    assert bridge_vector(coll12, ours.lam, 19, 10) == parse_vector("0012232121")
+    assert antipode(coll12, theirs.stages.s_vectors[3]) == parse_vector("00123456645")
 
 
 def test_antipode_inverse_golden(coll12):
@@ -508,6 +509,26 @@ def test_extend_skips_a_pair_whose_needed_chain_is_missing(base_coll):
     assert sum(sum(mu) == 6 for mu in extend_all(base_coll, 6).chains) == 4
     out = extend_all(short, 6)
     assert out.k_max == 6 and out.chains == keep
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [("6^4", "6^4 has no template base"), ("921^7", "no chain pair for the flag type 7")],
+    ids=["no-template", "no-flag-type-pair"],
+)
+def test_build_context_names_what_it_lacks(base_coll, word, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_context(base_coll, parse_partition(word))
+
+
+def test_extend_raises_on_a_failing_assembled_pair(base_coll):
+    """The 1 chain started one dinv late gives 31^3 a bridge that breaks basic-a."""
+    one = base_coll.chains[(1,)]
+    chains = {**base_coll.chains, (1,): Chain(one.mu, one.start_dinv + 1, one.generators)}
+    shifted = ChainCollection(chains, base_coll.pairing, base_coll.k_max)
+    want = "assembled pair for 31^3 fails basic-a: element (0, 0, 1, 2, 3, 3, 4) at slot 3"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
+        extend_all(shifted, 6)
 
 
 def test_extend_rejects_unknown_mode(base_coll):

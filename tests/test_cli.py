@@ -12,7 +12,7 @@ from qtchains.builder import _certificate
 from qtchains.cli import run
 from qtchains.dyck import dinv
 from qtchains.flagpole import is_flagpole
-from qtchains.partitions import parse_partition, partitions_of
+from qtchains.partitions import PARTS_MAX, parse_partition, partitions_of
 
 
 def lines(capsys):
@@ -334,14 +334,45 @@ def test_ti2_above_its_limit_is_usage_error(capsys):
 
 def test_tail_above_its_limit_is_usage_error(capsys):
     """A partition above the tail limit is refused before any orbit element
-    is built; the parse alone of '1^(3000000)' takes a fraction of a second."""
-    for word in (f"1^({cli.TAIL_MU_MAX + 1})", f"({cli.TAIL_MU_MAX})1", "1^(3000000)"):
+    is built; the parse alone of the longest word it reads takes a fraction
+    of a second."""
+    for word in (f"1^({cli.TAIL_MU_MAX + 1})", f"({cli.TAIL_MU_MAX})1", f"1^({PARTS_MAX})"):
         with pytest.raises(SystemExit) as exc:
             run(["tail", word, "--count", "1"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"tail: |MU| {sum(parse_partition(word))} is above the limit {cli.TAIL_MU_MAX}" in captured.err
+
+
+def test_parts_limit_is_above_every_length_limit():
+    """A word of PARTS_MAX parts still reaches the limit of its command, and
+    one more part forces a reduced length above STATS_LEN_MAX."""
+    assert max(cli.TAIL_MU_MAX, cli.TI2_MAX, cli.BUILD_MAX) < PARTS_MAX
+    assert PARTS_MAX + 2 > cli.STATS_LEN_MAX >= PARTS_MAX
+
+
+@pytest.mark.parametrize("parts", [PARTS_MAX + 1, 300_000_000])
+@pytest.mark.parametrize("command", [["tail"], ["ti2"], ["catalan", "3", "--mu"]])
+def test_word_with_too_many_parts_is_usage_error(capsys, command, parts):
+    """A short word for a long partition is refused from its runs, before
+    they are expanded into 300,000,000 parts."""
+    word = f"1^({parts})"
+    with pytest.raises(SystemExit) as exc:
+        run([*command, word])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad partition {word!r}: part count {parts} is above the limit {PARTS_MAX}" in captured.err
+
+
+@pytest.mark.parametrize("parts", [PARTS_MAX + 1, 300_000_000])
+def test_stats_word_with_too_many_parts_cannot_be_parsed(capsys, parts):
+    word = f"1^({parts})"
+    assert run(["stats", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot parse {word}: part count {parts} is above the limit {PARTS_MAX}\n"
 
 
 def test_tail_at_its_limit_runs(capsys):
@@ -582,6 +613,36 @@ def test_verify_fails_an_unreduced_generator(tmp_path, capsys):
     ]
 
 
+def test_verify_fails_a_chain_stored_above_its_amh_horizon(tmp_path, capsys):
+    """A chain that starts past its amh horizon holds no element to check: it
+    gets its single failing basic-a row, not a traceback."""
+    out = tmp_path / "c6.json"
+    assert run(["build", "6", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    rec = next(r for r in payload["chains"] if r["mu"] == "1")
+    rec["start"] = 6  # the amh horizon of 1 is 5
+    rec["certificate"] = _certificate(rec)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert lines(capsys) == [
+        "1: basic-a FAIL Chain(1, start=6) starts above its amh horizon 5",
+        "deficit 1: disjoint FAIL chains hold 0 of the 1 classes at dinv 17",
+        "299/301 checks passed",
+    ]
+
+
+def test_negative_start_is_a_load_error(tmp_path, capsys):
+    """A dinv is never negative, so a stored start below 0 is refused on load,
+    before verify could walk |start| elements toward dinv 0."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(collection(certified(start=-100_000), k_max=0)))
+    assert run(["verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot load {bad}: 0 has start -100000, below the least dinv 0\n"
+
+
 def certified(**fields):
     """A deficit-0 record with the given fields changed, its certificate recomputed."""
     rec = {"mu": "0", "partner": "0", "start": 0, "generators": ["0"], **fields}
@@ -606,6 +667,7 @@ MALFORMED = {
         certified(), certified(mu="1", partner="1", start=1, generators=["001"]), k_max=0
     ),
     "negative-k_max": {"format": 1, "k_max": -1, "chains": []},
+    "negative-start": collection(certified(start=-1)),
     "size-changing-pairing": collection(
         certified(mu="1", partner="1^2", start=2, generators=["001"]),
         certified(mu="1^2", partner="1", start=1, generators=["0011"]),
