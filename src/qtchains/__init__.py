@@ -27,7 +27,7 @@ from .partitions import format_partition, parse_partition, partitions_of
 from .poly import QtPolynomial, cat_n, deficit_slice
 from .steps import nd, nd1, nd2, nu, nu1, nu2
 from .tails import locate_in_tail, s_vectors, tail_elements, ti, ti2
-from .verify import Chain, amh_vectors, cat_n_mu, opposite_bruteforce
+from .verify import Chain, amh_vectors, cat_n_mu, opposite_bruteforce, share_text
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,7 @@ __all__ = [
     "save_collection",
     "search_chains",
     "seed_base_collection",
+    "share_text",
     "tail_elements",
     "ti",
     "ti2",

@@ -412,7 +412,9 @@ class Side(NamedTuple):
 
 
 def build_context(coll: ChainCollection, mu: Partition) -> tuple[Side, Side]:
-    """The two sides of mu's template-based pair: mu's, then its partner's."""
+    """The two sides of mu's template-based pair: mu's, then its partner's.
+
+    A self-paired mu has one side, derived once and returned twice."""
     mu = tuple(mu)
     match = phi(mu)
     if match is None:
@@ -426,7 +428,8 @@ def build_context(coll: ChainCollection, mu: Partition) -> tuple[Side, Side]:
     v_star = ti2(mu_star)
     if len(v_star) != len(v) or sum(mu_star) != sum(mu):
         raise RuntimeError(f"partner data of {format_partition(mu)} is inconsistent")
-    return _side(mu, lam, v, mu), _side(mu_star, lam_star, v_star, mu)
+    ours = _side(mu, lam, v, mu)
+    return (ours, ours) if mu_star == mu else (ours, _side(mu_star, lam_star, v_star, mu))
 
 
 def _side(mu: Partition, lam: Partition, v: Vector, pair: Partition) -> Side:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from itertools import islice
 
 from . import builder
 from .dyck import (
@@ -21,8 +22,8 @@ from .dyck import (
 from .flagpole import count_flagpole, count_flagpole_bruteforce, gflag_lower_bound, is_flagpole, phi
 from .partitions import Partition, count_partitions, format_partition, parse_partition
 from .poly import cat_n
-from .tails import absorption_counts, plateau, s_vectors, tail_classes, ti, ti2, ti_mind
-from .verify import report_lines, share_text
+from .tails import absorption_counts, plateau, s_vectors, staircase_runs, tail_classes, ti, ti2, ti_mind
+from .verify import report_lines, share_pieces
 
 
 # Stated budgets, each about 3 s in a cold process on a 2-vCPU host.
@@ -84,18 +85,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _tail_entries(mu: Partition, count: int, j: int | None) -> int:
-    """The vector entries `tail` prints, from the plateau sizes: plateau i holds
-    one class for i = 0 and ti_mind(mu) + i - 1 after, each of length ti_mind(mu) + i."""
-    m = ti_mind(mu)
+    """The vector entries `tail` prints, from the plateau lengths and sizes."""
+    runs = staircase_runs(ti_mind(mu))
     if j is not None:
-        return (m + j - 1 if j else 1) * (m + j)
-    entries = i = 0
-    while count > 0:
-        n = min(m + i - 1 if i else 1, count)
-        entries += n * (m + i)
+        ln, n = next(islice(runs, j, None))
+        return n * ln
+    entries = 0
+    for ln, n in runs:
+        if count <= 0:
+            return entries
+        n = min(n, count)
+        entries += n * ln
         count -= n
-        i += 1
-    return entries
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
@@ -195,7 +196,8 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if chain is None:
         print(f"no chain stored for {format_partition(mu)}", file=sys.stderr)
         return 1
-    print(share_text(args.n, chain))
+    sys.stdout.writelines(share_pieces(args.n, chain))
+    print()
     return 0
 
 

@@ -15,7 +15,7 @@ from itertools import chain, islice, repeat
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .dyck import Vector, class_from_partition, dinv, partition_from_class, reduce
+from .dyck import Vector, class_from_partition, dinv, partition_from_class
 from .partitions import (
     Partition, count_partitions_max, multiplicities, partition_from_multiplicities, partitions_of
 )
@@ -93,15 +93,23 @@ def tail_elements(mu: Partition, count: int) -> list[Vector]:
     return list(tail_classes(mu, count))
 
 
+def staircase_runs(base: int) -> Iterator[tuple[int, int]]:
+    """(reduced length, class count) of each plateau of an orbit whose base class
+    has reduced length base: plateau 0 holds 1 class, plateau j >= 1 holds base + j - 1."""
+    yield base, 1
+    ln = base
+    while True:
+        ln += 1
+        yield ln, ln - 1
+
+
 def staircase_profile(base: int, count: int) -> list[int]:
     """base, then base+1 taken base times, then base+2 taken base+1 times, ..."""
     out: list[int] = []
-    lvl = base
-    while len(out) < count:
-        reps = 1 if lvl == base else lvl - 1
-        out.extend([lvl] * min(reps, count - len(out)))
-        lvl += 1
-    return out
+    for ln, reps in staircase_runs(base):
+        out += [ln] * reps
+        if len(out) >= count:
+            return out[:count]
 
 
 class TailLocator(NamedTuple):
@@ -112,67 +120,23 @@ class TailLocator(NamedTuple):
     position: int
 
 
-def _locate_binary(r: Vector) -> TailLocator | None:
-    if r == (0,):
-        return TailLocator((), 0, 0)
-    n = len(r)
-    zeros = 0
-    while zeros < n - 1 and r[n - 1 - zeros] == 0:
-        zeros += 1
-    core = r[: n - zeros]
-    if core == (0,):
-        return TailLocator((), zeros, zeros - 1)
-    a = 0
-    while 1 + a < len(core) and core[1 + a] == 1:
-        a += 1
-    b = core[1 + a :]
-    if not b:
-        return TailLocator((), a + zeros, zeros - 1)
-    mu = partition_from_b_word(b)
-    if mu is None or not mu:
-        return None
-    j = a + zeros
-    if j == 0:
-        return TailLocator(mu, 0, 0)
-    return TailLocator(mu, j, (len(b) - 1) + zeros)
-
-
-def _locate_ternary(r: Vector) -> TailLocator | None:
-    last2 = max(i for i, x in enumerate(r) if x == 2)
-    if any(x == 0 for x in r[1:last2]):
-        return None
-    if len(r) < 2 or r[1] != 1:
-        return None
-    zp = r[2 : last2 + 1]
-    if any(x not in (1, 2) for x in zp):
-        return None
-    u = 0
-    while last2 + 1 + u < len(r) and r[last2 + 1 + u] == 1:
-        u += 1
-    y = r[last2 + 1 + u :]
-    if not y or y[0] != 0 or any(x not in (0, 1) for x in y):
-        return None
-    z = tuple(x - 1 for x in zp)
-    mu = partition_from_b_word(y + z)
-    if mu is None or not mu:
-        return None
-    return TailLocator(mu, u + 1, len(y) - 1)
-
-
 def locate_in_tail(w: Vector) -> TailLocator | None:
     """Locate the class of w inside a first-order orbit, or None when absent.
 
-    Binary reduced vectors always locate; ternary ones locate exactly when
-    the only 0 before the last 2 is the first entry; anything higher never
-    locates.
+    nd1 inverts nu1, so the class lies in an orbit exactly when walking nd1
+    down from it stops at a base class ti(mu); the number of steps is its
+    index in that orbit.  Binary reduced vectors always locate; ternary ones
+    locate exactly when the only 0 before the last 2 is the first entry;
+    anything higher never locates.
     """
-    r = reduce(w)
-    if all(x in (0, 1) for x in r):
-        return _locate_binary(r)
-    if all(0 <= x <= 2 for x in r):
-        if 2 in r:
-            return _locate_ternary(r)
-    return None
+    p, index = _nd1_stretch(partition_from_class(w))
+    mu = partition_from_b_word(class_from_partition(p)[1:])
+    if mu is None:
+        return None
+    for plateau_index, (_, size) in enumerate(staircase_runs(ti_mind(mu))):
+        if index < size:
+            return TailLocator(mu, plateau_index, index)
+        index -= size
 
 
 def coverage_bound(k: int) -> int:
@@ -196,8 +160,9 @@ def absorption_counts(k: int) -> tuple[int, int]:
 
 # ------------------------------------------------------------ second order
 
-def _nd1_stretch(p: Partition) -> Partition:
-    """Apply nd1_partition to p for as long as it is defined.
+def _nd1_stretch(p: Partition) -> tuple[Partition, int]:
+    """Apply nd1_partition to p for as long as it is defined; return the
+    partition it stops at and the number of steps.
 
     The parts are held in a deque, each stored less a running lift, so
     dropping the first part and raising the rest is one pop and one
@@ -211,7 +176,7 @@ def _nd1_stretch(p: Partition) -> Partition:
         lift += 1
         parts.extend(repeat(1 - lift, first - ell))
         ell = first - 1
-    return tuple([a + lift for a in parts])
+    return tuple([a + lift for a in parts]), lift
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +189,7 @@ def ti2(mu: Partition) -> Vector:
     """
     p = partition_from_class(ti(mu))
     while True:
-        p = _nd1_stretch(p)
+        p, _ = _nd1_stretch(p)
         q = nd2_partition(p)
         if q is None:
             return class_from_partition(p)

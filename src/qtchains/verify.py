@@ -19,7 +19,7 @@ from .dyck import (
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial, format_terms
 from .steps import nu1_partition, nu2_partition
-from .tails import staircase_profile, ti, ti2, ti_dinv, ti_mind
+from .tails import staircase_profile, staircase_runs, ti, ti2, ti_dinv, ti_mind
 
 
 class Chain:
@@ -436,9 +436,8 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int, int]]:
     The chain is walked one element at a time, one run each, up to its
     base dinv.  When the element there is the base class of mu, the rest of
     the chain is that class's orbit (a non-final segment running there
-    raises, and the orbit never stops), whose lengths are the staircase:
-    one run of ti_mind(mu) once, then one of ti_mind(mu) + j taken
-    ti_mind(mu) + j - 1 times.  Otherwise the walk goes on, so a final
+    raises, and the orbit never stops), whose lengths are the plateaus of
+    staircase_runs(ti_mind(mu)).  Otherwise the walk goes on, so a final
     segment that stops only past the last element read is never reached.
     """
     base_dinv = ti_dinv(chain.mu)
@@ -448,12 +447,11 @@ def _lengths(chain: Chain, n_max: int) -> list[tuple[int, int, int]]:
     for i, p in enumerate(chain.walk()):
         ln = chain._minds[i]
         if d == base_dinv and p == base:
-            reps = 1
-            while ln <= n_max:
+            for ln, reps in staircase_runs(ln):
+                if ln > n_max:
+                    break
                 out.append((d, reps, ln))
                 d += reps
-                reps = ln
-                ln += 1
             break
         if ln > n_max and d >= base_dinv:
             break
@@ -482,9 +480,21 @@ def cat_n_mu(n: int, chain: Chain) -> QtPolynomial:
     return _path_sum(n, chain, _lengths(chain, n))
 
 
+def share_pieces(n: int, chain: Chain) -> Iterator[str]:
+    """share_text one run of _lengths at a time: the run's terms, led by " + "
+    after the first run, or "0" alone when the share is empty."""
+    sep = ""
+    for run in _lengths(chain, n):
+        if run[2] <= n:
+            yield sep + format_terms(zip(_share(n, chain, [run]), repeat(1)))
+            sep = " + "
+    if not sep:
+        yield "0"
+
+
 def share_text(n: int, chain: Chain) -> str:
     """str(cat_n_mu(n, chain)) with no polynomial built: one term per t, in ascending t."""
-    return format_terms(zip(_share(n, chain, _lengths(chain, n)), repeat(1)))
+    return "".join(share_pieces(n, chain))
 
 
 def _length_masks(
@@ -539,6 +549,21 @@ def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckR
         if not ok:
             lhs = _path_sum(n, chain, ours)
             rhs = _path_sum(n, partner, theirs).swap()
-            witness = f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
+            witness = opposite_witness(chain.mu, lhs, rhs)
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out
+
+
+def opposite_witness(mu: Partition, lhs: QtPolynomial, rhs: QtPolynomial) -> str:
+    """A failing opposite row's witness: the first term, in str order, where the
+    chain's path sum lhs and the partner's swapped sum rhs differ, the side
+    that holds it, and the two term counts."""
+    first = min(
+        (qt for qt in lhs.terms.keys() | rhs.terms.keys() if lhs.terms.get(qt) != rhs.terms.get(qt)),
+        key=lambda qt: (qt[1], -qt[0]),
+    )
+    side, poly = ("chain", lhs) if first in lhs.terms else ("swapped partner", rhs)
+    return (
+        f"{format_partition(mu)}: {format_terms([(first, poly.terms[first])])} first differs, "
+        f"in the {side} sum; {len(lhs.terms)} vs {len(rhs.terms)} terms"
+    )

@@ -40,7 +40,8 @@ from qtchains.tails import (
     ti_dinv,
 )
 from qtchains.verify import (
-    AmhVectors, Chain, CheckResult, _res, amh_vectors, check_amh, check_local, check_pair
+    AmhVectors, Chain, CheckResult, _res, amh_vectors, check_amh, check_local, check_pair,
+    opposite_witness,
 )
 
 
@@ -517,7 +518,7 @@ def opposite_per_n(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult
         lhs = cat_n_mu_by_lookup(n, chain)
         rhs = cat_n_mu_by_lookup(n, partner).swap()
         ok = lhs == rhs
-        witness = "" if ok else f"{format_partition(chain.mu)}: {lhs} vs {rhs}"
+        witness = "" if ok else opposite_witness(chain.mu, lhs, rhs)
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out
 

@@ -531,6 +531,29 @@ def test_extend_raises_on_a_failing_assembled_pair(base_coll):
         extend_all(shifted, 6)
 
 
+def test_extend_derives_a_self_paired_side_once(base_coll, monkeypatch):
+    """66 of the 144 contexts to deficit 16 are self-paired: build_context
+    derives their one side once, so the stage labels are located 905 times."""
+    contexts, located = [], []
+    build, locate = builder.build_context, builder.locate_in_tail
+
+    def counted_build(coll, mu):
+        contexts.append(build(coll, mu))
+        return contexts[-1]
+
+    def counted_locate(w):
+        located.append(w)
+        return locate(w)
+
+    monkeypatch.setattr(builder, "build_context", counted_build)
+    monkeypatch.setattr(builder, "locate_in_tail", counted_locate)
+    extend_all(base_coll, 16)
+    assert len(contexts) == 144
+    assert sum(ours is theirs for ours, theirs in contexts) == 66
+    assert all(ours is theirs for ours, theirs in contexts if ours.mu == theirs.mu)
+    assert len(located) == 905
+
+
 def test_extend_rejects_unknown_mode(base_coll):
     with pytest.raises(ValueError):
         extend_all(base_coll, 6, mode="fast")

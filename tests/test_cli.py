@@ -459,6 +459,8 @@ def test_catalan_chain_share(capsys):
         "q^14 t^3 + q^13 t^4 + q^12 t^5 + q^11 t^6 + q^10 t^7 + q^9 t^8"
         " + q^8 t^9 + q^7 t^10 + q^6 t^11 + q^5 t^12 + q^4 t^13"
     ]
+    assert run(["catalan", "2", "--mu", "1"]) == 0
+    assert lines(capsys) == ["0"]
 
 
 def test_catalan_missing_chain(capsys):
@@ -630,6 +632,27 @@ def test_verify_fails_a_chain_stored_above_its_amh_horizon(tmp_path, capsys):
         "deficit 1: disjoint FAIL chains hold 0 of the 1 classes at dinv 17",
         "299/301 checks passed",
     ]
+
+
+def test_verify_opposite_witness_names_the_first_difference(tmp_path, capsys, coll16):
+    """The 1 chain of the deficit-16 file stored at start 6 fails every opposite
+    row from n = 3; each witness names the first differing term, the side that
+    holds it and the two term counts, not both path sums (284 KB of output)."""
+    out = tmp_path / "c16.json"
+    builder.save_collection(coll16, out)
+    payload = json.loads(out.read_text())
+    rec = next(r for r in payload["chains"] if r["mu"] == "1")
+    rec["start"] = 6
+    rec["certificate"] = _certificate(rec)
+    out.write_text(json.dumps(payload))
+    assert run(["verify", str(out), "--opposite", "40"]) == 1
+    text = capsys.readouterr().out
+    assert len(text.encode()) < 8192
+    rows = text.splitlines()
+    assert rows[1] == (
+        "1: opposite-n3 FAIL 1: q^6 t^-4 first differs, in the swapped partner sum; 1 vs 1 terms"
+    )
+    assert rows[-1] == "9452/9492 checks passed"
 
 
 def test_negative_start_is_a_load_error(tmp_path, capsys):

@@ -187,6 +187,40 @@ def test_locator_indexes_plateau():
                 assert list(plateau(loc.mu, loc.plateau_index))[loc.position] == c
 
 
+LOCATE_CLASSES = [c for k in range(7) for c in enumerate_deficit(k, 30)]
+
+
+def test_locate_shapes():
+    """Binary reduced vectors always locate; ternary ones exactly when the
+    only 0 before the last 2 is the first entry; anything higher never."""
+    assert len(LOCATE_CLASSES) == 853
+    for c in LOCATE_CLASSES:
+        if max(c) <= 1:
+            want = True
+        elif max(c) == 2:
+            last2 = max(i for i, x in enumerate(c) if x == 2)
+            want = 0 not in c[1:last2]
+        else:
+            want = False
+        assert (locate_in_tail(c) is not None) == want, c
+
+
+def test_locator_counts_the_classes_below():
+    """The plateaus before plateau_index and position count the classes of
+    the orbit below c: plateau 0 holds 1 class, plateau i >= 1 holds
+    ti_mind(mu) + i - 1."""
+    located = 0
+    for c in LOCATE_CLASSES:
+        loc = locate_in_tail(c)
+        if loc is None:
+            continue
+        located += 1
+        m = ti_mind(loc.mu)
+        below = sum(m + i - 1 if i else 1 for i in range(loc.plateau_index))
+        assert below + loc.position == dinv(c) - ti_dinv(loc.mu), c
+    assert located == 631
+
+
 def test_locate_membership():
     d_max = 25
     members: set[tuple[int, ...]] = set()

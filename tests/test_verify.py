@@ -7,10 +7,10 @@ import pytest
 
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, validate_collection
-from qtchains.dyck import class_from_partition, dinv, mind, parse_vector
+from qtchains.dyck import class_from_partition, dinv, mind, parse_vector, partition_dinv
 from qtchains.partitions import format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
-from qtchains.steps import nd, nu1_partition
+from qtchains.steps import nd, nd1_partition, nu1_partition
 from qtchains.tails import coverage_bound, ti, ti_dinv
 from qtchains.verify import (
     AmhVectors,
@@ -24,6 +24,7 @@ from qtchains.verify import (
     check_pair,
     opposite_bruteforce,
     report_lines,
+    share_pieces,
     share_text,
 )
 
@@ -631,6 +632,25 @@ def test_mind_after_a_first_order_step():
     assert steps == 6_286
 
 
+def test_dinv_and_size_after_a_first_order_step():
+    """nu1_partition raises partition_dinv and |p| by exactly 1, and
+    nd1_partition lowers both by exactly 1, on every partition of size at
+    most 25 where the step is defined."""
+    ups = downs = 0
+    for n in range(26):
+        for p in partitions_of(n):
+            d = partition_dinv(p)
+            q = nu1_partition(p)
+            if q is not None:
+                assert (partition_dinv(q), sum(q)) == (d + 1, n + 1), p
+                ups += 1
+            q = nd1_partition(p)
+            if q is not None:
+                assert (partition_dinv(q), sum(q)) == (d - 1, n - 1), p
+                downs += 1
+    assert (ups, downs) == (6_286, 4_990)
+
+
 def test_walk_carries_the_reduced_lengths(coll16):
     """Every chain of the deficit-16 collection, walked at once to
     coverage_bound(k) + 10 and one element at a time as far: the lengths
@@ -683,3 +703,20 @@ def test_share_text_builds_no_polynomial(base_coll):
         tracemalloc.stop()
     assert peak < 55_000_000, peak
     assert text == str(cat_n_mu(900, _copy(chain)))
+
+
+def test_share_pieces_hold_one_run_at_a_time(base_coll):
+    """`catalan N --mu MU` writes share_pieces: at N = 300 on the chain of 1,
+    785,045 bytes of text in 298 runs, reading them peaks at 0.06 MB under
+    tracemalloc, against the whole text for share_text."""
+    pieces = size = 0
+    tracemalloc.start()
+    try:
+        for piece in share_pieces(300, _copy(base_coll.chain((1,)))):
+            pieces += 1
+            size += len(piece)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pieces, size) == (298, 785_045)
+    assert peak < 250_000, peak
