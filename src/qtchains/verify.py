@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable, Iterator, NamedTuple
 
 from .dyck import (
-    Vector, class_from_partition, dinv, mind, partition_dinv, partition_from_class, starts_00
+    Vector, class_from_partition, mind, partition_dinv, partition_from_class, starts_00
 )
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial, format_terms
@@ -272,9 +272,10 @@ def check_basic(chain: Chain, parts: list[Partition], prof: list[int]) -> list[C
     """Deficit and dinv bookkeeping, distinct elements and ending orbit: basic-a, b and d.
 
     parts holds the partitions of the chain's elements through its amh
-    horizon and prof their mind.  An element's dinv is read off its
-    partition and its deficit is |p| - dinv; a stored generator must be
-    the reduced vector of its class, of length mind(p).
+    horizon and prof their mind.  Dinv and the deficit |p| - dinv are read
+    at segment starts only: each later element is nu1 of the one before, one
+    more in dinv and in size.  A stored generator must be the reduced vector
+    of its class, of length mind(p).
     """
     mu = chain.mu
     k = sum(mu)
@@ -282,16 +283,15 @@ def check_basic(chain: Chain, parts: list[Partition], prof: list[int]) -> list[C
     bad = [
         i
         for i, p in enumerate(parts)
-        if (dv := partition_dinv(p)) != chain.start_dinv + i
-        or sum(p) - dv != k
-        or i in gens and len(gens[i]) != prof[i]
+        if i in gens
+        and ((dv := partition_dinv(p)) != chain.start_dinv + i
+             or sum(p) - dv != k or len(gens[i]) != prof[i])
     ]
     return [
         _res(
             "basic-a",
             not bad,
-            bad and f"element {gens.get(bad[0]) or class_from_partition(parts[bad[0]])} "
-            f"at slot {chain.start_dinv + bad[0]}" or "",
+            bad and f"element {gens[bad[0]]} at slot {chain.start_dinv + bad[0]}" or "",
         ),
         _res(
             "basic-b",
@@ -372,7 +372,8 @@ def check_extra(
 
     ok = True
     witness = ""
-    d2 = dinv(ti2(chain.mu))
+    p = partition_from_class(ti2(chain.mu))
+    d2 = partition_dinv(p)
     base = partition_from_class(ti(chain.mu))
     if d2 < chain.start_dinv:
         ok = False
@@ -384,7 +385,6 @@ def check_extra(
         # where it takes the second-order step from the element before.
         starts = chain.stored_generators()
         i = d2 - chain.start_dinv
-        p = partition_from_class(ti2(chain.mu))
         while p != base:
             if parts[i] != p:
                 ok = False
@@ -549,12 +549,12 @@ def opposite_bruteforce(chain: Chain, partner: Chain, n_max: int) -> list[CheckR
         if not ok:
             lhs = _path_sum(n, chain, ours)
             rhs = _path_sum(n, partner, theirs).swap()
-            witness = opposite_witness(chain.mu, lhs, rhs)
+            witness = opposite_witness(lhs, rhs)
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out
 
 
-def opposite_witness(mu: Partition, lhs: QtPolynomial, rhs: QtPolynomial) -> str:
+def opposite_witness(lhs: QtPolynomial, rhs: QtPolynomial) -> str:
     """A failing opposite row's witness: the first term, in str order, where the
     chain's path sum lhs and the partner's swapped sum rhs differ, the side
     that holds it, and the two term counts."""
@@ -564,6 +564,6 @@ def opposite_witness(mu: Partition, lhs: QtPolynomial, rhs: QtPolynomial) -> str
     )
     side, poly = ("chain", lhs) if first in lhs.terms else ("swapped partner", rhs)
     return (
-        f"{format_partition(mu)}: {format_terms([(first, poly.terms[first])])} first differs, "
+        f"{format_terms([(first, poly.terms[first])])} first differs, "
         f"in the {side} sum; {len(lhs.terms)} vs {len(rhs.terms)} terms"
     )

@@ -518,7 +518,7 @@ def opposite_per_n(chain: Chain, partner: Chain, n_max: int) -> list[CheckResult
         lhs = cat_n_mu_by_lookup(n, chain)
         rhs = cat_n_mu_by_lookup(n, partner).swap()
         ok = lhs == rhs
-        witness = "" if ok else opposite_witness(chain.mu, lhs, rhs)
+        witness = "" if ok else opposite_witness(lhs, rhs)
         out.append(CheckResult(f"opposite-n{n}", ok, witness))
     return out
 

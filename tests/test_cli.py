@@ -650,7 +650,7 @@ def test_verify_opposite_witness_names_the_first_difference(tmp_path, capsys, co
     assert len(text.encode()) < 8192
     rows = text.splitlines()
     assert rows[1] == (
-        "1: opposite-n3 FAIL 1: q^6 t^-4 first differs, in the swapped partner sum; 1 vs 1 terms"
+        "1: opposite-n3 FAIL q^6 t^-4 first differs, in the swapped partner sum; 1 vs 1 terms"
     )
     assert rows[-1] == "9452/9492 checks passed"
 

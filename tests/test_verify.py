@@ -1,14 +1,21 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
+from functools import cache
 from math import comb
+from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, validate_collection
-from qtchains.dyck import class_from_partition, dinv, mind, parse_vector, partition_dinv
-from qtchains.partitions import format_partition, partitions_of
+from qtchains.dyck import (
+    Vector, class_from_partition, dinv, enumerate_deficit, mind, parse_vector, partition_dinv
+)
+from qtchains.partitions import Partition, format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
 from qtchains.steps import nd, nd1_partition, nu1_partition
 from qtchains.tails import coverage_bound, ti, ti_dinv
@@ -36,6 +43,7 @@ from oracles import (
     lengths_by_walk,
     lift,
     opposite_per_n,
+    partition_dinv_by_cells,
 )
 
 
@@ -148,17 +156,23 @@ def no_class(p):
     raise AssertionError(f"class vector built for {p}")
 
 
-def test_check_basic_looks_up_dinv_once_per_element(monkeypatch):
-    """One partition dinv per element; no class vector and no class-side dinv."""
+def test_check_basic_looks_up_dinv_once_per_segment_start(monkeypatch):
+    """One partition dinv per segment start inside parts, in order: each other
+    element is nu1 of the one before, one more in dinv and size.  No class
+    vector and no class-side dinv.  The walk to dinv 19 holds starts 0, 2, 4
+    and 6; cut at dinv 8, only the first two are read."""
     c = chain15()
-    parts = c.partitions_upto(c.amh_horizon())
+    walked = c.partitions_upto(c.amh_horizon())
     seen = []
     real = verify.partition_dinv
     monkeypatch.setattr(verify, "partition_dinv", lambda p: seen.append(p) or real(p))
     monkeypatch.setattr(verify, "class_from_partition", no_class)
     before = dinv.cache_info()
-    assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts]))
-    assert seen == parts
+    for parts in (walked, walked[:4]):
+        seen.clear()
+        assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts]))
+        assert seen == [parts[i] for i in c._starts if i < len(parts)]
+    assert len(seen) == 2 and c._starts == [0, 2, 4, 6]
     assert dinv.cache_info() == before
 
 
@@ -397,6 +411,67 @@ def test_check_pair_matches_the_clause_oracle_on_damaged_chains(coll12):
             assert not all(r.ok for _, r in got), (mu, i)
             count += 1
     assert count == 105
+
+
+@cache
+def class_at(k: int, d: int) -> Vector | None:
+    """The first reduced vector of deficit k and dinv d, if there is one."""
+    return next((v for v in enumerate_deficit(k, d) if dinv(v) == d), None)
+
+
+def basic_a_damage(coll, k_max: int) -> Iterator[tuple[tuple, str, Chain, str]]:
+    """The first chain of each pair of deficit at most k_max with damage that
+    basic-a decides: start_dinv shifted by -1 or +1, or one generator g of
+    dinv d replaced by its lift, by the first class of dinv d and deficit
+    k + 1 (none for the empty partition's generator, at d = 0) or by the
+    first class of deficit k and dinv d + 1.  Each comes with its basic-a
+    witness when the chain can be walked: the stored vector at the first
+    slot it moves."""
+    for mu, _ in coll.pairs():
+        k = sum(mu)
+        if k > k_max:
+            continue
+        chain = coll.chain(mu)
+        start, gens = chain.start_dinv, chain.generators
+        for s in (-1, 1):
+            bad = Chain(mu, start + s, gens)
+            yield mu, f"start{s:+}", bad, f"element {gens[0]} at slot {start + s}"
+        for i, g in enumerate(gens):
+            d = dinv(g)
+            for op, new in (
+                ("lift", lift(g)), ("deficit", class_at(k + 1, d)), ("dinv", class_at(k, d + 1))
+            ):
+                if new is not None:
+                    bad = Chain(mu, start, gens[:i] + [new] + gens[i + 1 :])
+                    yield mu, f"{op} {i}", bad, f"element {new} at slot {d}"
+
+
+def test_check_pair_matches_the_clause_oracle_on_basic_a_damage(coll12):
+    """Damage that basic-a reads: check_pair gives the rows of the
+    clause-by-clause check, whose basic-a reads every element, and basic-a
+    fails at the first segment start the damage moves, with the stored
+    vector as witness, whenever the damaged chain can be walked."""
+    counts = Counter()
+    for mu, op, bad, witness in basic_a_damage(coll12, 8):
+        star = coll12.partner(mu)
+        partner = bad if star == mu else coll12.chain(star)
+        got = check_pair(bad, partner, sum(mu))
+        assert got == check_pair_by_clauses(bad, partner, sum(mu)), (mu, op)
+        basic_a = next(r for ctx, r in got if ctx == format_partition(mu))
+        assert basic_a.clause == "basic-a" and not basic_a.ok, (mu, op)
+        walked = basic_a.witness.startswith("element")
+        assert basic_a.witness == witness or not walked, (mu, op)
+        counts[op.split()[0], walked] += 1
+    assert counts == {
+        ("start-1", True): 27,
+        ("start+1", True): 3,
+        ("start+1", False): 24,
+        ("lift", True): 132,
+        ("deficit", True): 105,
+        ("deficit", False): 26,
+        ("dinv", True): 112,
+        ("dinv", False): 20,
+    }
 
 
 def test_first_generator_has_no_predecessor():
@@ -649,6 +724,37 @@ def test_dinv_and_size_after_a_first_order_step():
                 assert (partition_dinv(q), sum(q)) == (d - 1, n - 1), p
                 downs += 1
     assert (ups, downs) == (6_286, 4_990)
+
+
+def partitions_to_size(n_max: int):
+    """Partitions of size at most n_max: parts up to a drawn bound, largest
+    first, each kept while the total stays within n_max.  Small bounds give
+    long partitions, where nu1_partition is defined."""
+
+    def build(parts: list[int]) -> Partition:
+        out: list[int] = []
+        for a in sorted(parts, reverse=True):
+            if sum(out) + a <= n_max:
+                out.append(a)
+        return tuple(out)
+
+    parts = st.integers(1, 40).flatmap(lambda top: st.lists(st.integers(1, top), max_size=80))
+    return parts.map(build)
+
+
+@settings(max_examples=400)
+@given(partitions_to_size(80))
+def test_first_order_steps_move_dinv_and_size_by_one(p):
+    """The lemma basic-a rests on, past the exhaustive range above: where
+    nu1_partition or nd1_partition is defined, it moves partition_dinv and
+    |p| by exactly +1 or -1, and each dinv is the cell count of the oracle."""
+    d = partition_dinv(p)
+    assert d == partition_dinv_by_cells(p)
+    for step, sign in ((nu1_partition, 1), (nd1_partition, -1)):
+        q = step(p)
+        if q is not None:
+            assert (partition_dinv(q), sum(q)) == (d + sign, sum(p) + sign)
+            assert partition_dinv(q) == partition_dinv_by_cells(q)
 
 
 def test_walk_carries_the_reduced_lengths(coll16):
