@@ -29,7 +29,7 @@ from .dyck import (
     partition_from_class,
     qdv_from_partition,
 )
-from .flagpole import is_flagpole, is_generalized_flagpole, phi, psi_inv
+from .flagpole import flag_templates, psi_template
 from .partitions import (
     Partition, count_partitions_max, format_partition, parse_partition, partitions_of
 )
@@ -42,7 +42,6 @@ from .tails import (
     tail_elements,
     ti,
     ti_dinv,
-    ti2,
 )
 from .verify import (
     Chain, ChainCheck, CheckResult, check_chain, check_pair, opposite_bruteforce, pair_rows
@@ -411,33 +410,28 @@ class Side(NamedTuple):
     sources: tuple[Partition, ...]
 
 
-def build_context(coll: ChainCollection, mu: Partition) -> tuple[Side, Side]:
-    """The two sides of mu's template-based pair: mu's, then its partner's.
-
-    A self-paired mu has one side, derived once and returned twice."""
-    mu = tuple(mu)
-    match = phi(mu)
-    if match is None:
-        raise ValueError(f"{format_partition(mu)} has no template base")
-    lam = match[0]
+def build_context(coll: ChainCollection, lam: Partition, v: Vector) -> tuple[Side, Side]:
+    """The sides of the pair of the template v of flag type lam: v's, then that of
+    psi_template(lam*, len(v), area(v) % 2); a self-paired side is derived once."""
     lam_star = coll.pairing.get(lam)
     if lam_star is None:
         raise ValueError(f"no chain pair for the flag type {format_partition(lam)}")
-    v = ti2(mu)
-    mu_star = psi_inv(lam_star, len(v), area(v) % 2)
-    v_star = ti2(mu_star)
-    if len(v_star) != len(v) or sum(mu_star) != sum(mu):
-        raise RuntimeError(f"partner data of {format_partition(mu)} is inconsistent")
-    ours = _side(mu, lam, v, mu)
-    return (ours, ours) if mu_star == mu else (ours, _side(mu_star, lam_star, v_star, mu))
+    v_star = psi_template(lam_star, len(v), area(v) % 2)
+    ours = _side(lam, v)
+    if v_star == v:
+        return ours, ours
+    theirs = _side(lam_star, v_star)
+    if sum(theirs.mu) != sum(ours.mu):
+        raise RuntimeError(f"partner data of {format_partition(ours.mu)} is inconsistent")
+    return ours, theirs
 
 
-def _side(mu: Partition, lam: Partition, v: Vector, pair: Partition) -> Side:
-    """The side of mu, with flag type lam and v = ti2(mu), in the pair resolved for pair."""
-    if dinv(v) + area(v) != comb(len(v), 2) - sum(mu):
-        raise RuntimeError(f"stat identity fails for {format_partition(pair)}")
+def _side(lam: Partition, v: Vector) -> Side:
+    """The side whose extended orbit base is the template v, of flag type lam."""
     stages = s_vectors(v)
-    return Side(mu, lam, stages, tuple(map(_stage_source, stages.s_vectors[1:])))
+    if dinv(v) + area(v) != comb(len(v), 2) - sum(stages.mu):
+        raise RuntimeError(f"stat identity fails for {format_partition(stages.mu)}")
+    return Side(stages.mu, lam, stages, tuple(map(_stage_source, stages.s_vectors[1:])))
 
 
 def _stage_source(s_vec: Vector) -> Partition:
@@ -501,10 +495,10 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
     At or below coll.k_max this keeps only the chains of deficit at most k;
     the pairing preserves size, so the kept pairing is an involution.
 
-    Mode "flagpole" uses the closed eligibility test; "generalized" the
-    length test against the current pairing.  Every assembled pair is
-    checked before it is kept, as chains that hold only their generators;
-    a failing pair raises.
+    Each deficit's pairs grow from flag_templates, the bases of its flagpoles
+    or generalized flagpoles, each template whose side is not yet derived.
+    Every assembled pair is checked before it is kept, as chains that hold
+    only their generators; a failing pair raises.
 
     The construction starts at deficit BASE_K_MAX + 1 and needs the whole
     base collection below it, so extending a collection whose k_max is
@@ -521,25 +515,19 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
     pairing = {mu: coll.pairing[mu] for mu in chains}
     for d in range(coll.k_max + 1, k + 1):
         cur = ChainCollection(chains, pairing, d - 1)
-        for mu in list(partitions_of(d))[::-1]:
-            if mu in chains:
+        derived: set[Vector] = set()  # the template of each side derived at deficit d
+        for lam, v in flag_templates(pairing, d, mode == "generalized"):
+            if v in derived:
                 continue
-            if mode == "flagpole":
-                if not is_flagpole(mu):
-                    continue
-            elif not is_generalized_flagpole(mu, pairing):
-                continue
-            # either test passing means the base of mu is a template
-            if phi(mu)[0] not in pairing:
-                continue
-            ours, theirs = ctx = build_context(cur, mu)
+            ours, theirs = ctx = build_context(cur, lam, v)
+            derived.update((ours.stages.v, theirs.stages.v))
             if not needed_partitions(ctx) <= chains.keys():
                 continue
             built = build_flagpole_pair(cur, ctx)
             bad = [r for _, r in check_pair(built[ours.mu], built[theirs.mu], d) if not r.ok]
             if bad:
                 raise RuntimeError(
-                    f"assembled pair for {format_partition(mu)} fails "
+                    f"assembled pair for {format_partition(ours.mu)} fails "
                     f"{bad[0].clause}: {bad[0].witness}"
                 )
             # keep generators only: later deficits walk just the prefixes they read

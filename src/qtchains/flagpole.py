@@ -9,9 +9,9 @@ dinv parity) both determine mu, giving two invertible encodings.
 
 from __future__ import annotations
 
-from .dyck import Vector, dinv
+from .dyck import Vector, defc, dinv
 from .partitions import Partition, count_partitions, partition_from_multiplicities, partitions_of
-from .tails import b_word, s_vectors, template_parse, ti2
+from .tails import b_word, s_vectors, template_parse, ti2, ti_mind
 
 
 def v_template(lam: Partition, a: int, eps: int) -> Vector:
@@ -66,8 +66,7 @@ def phi(mu: Partition) -> tuple[Partition, int, int] | None:
 
 def phi_inv(lam: Partition, a: int, eps: int) -> Partition:
     """Partition whose extended orbit base is the (lam, a, eps) template."""
-    summ = s_vectors(v_template(lam, a, eps))
-    return summ.mu
+    return s_vectors(v_template(lam, a, eps)).mu
 
 
 def psi(mu: Partition) -> tuple[Partition, int, int] | None:
@@ -79,15 +78,38 @@ def psi(mu: Partition) -> tuple[Partition, int, int] | None:
     return m[0], len(t), dinv(t) % 2
 
 
-def psi_inv(lam: Partition, length: int, parity: int) -> Partition:
-    """Invert psi: recover the exponent from the length and eps from the parity."""
+def psi_template(lam: Partition, length: int, parity: int) -> Vector:
+    """The template psi reads (lam, length, parity) off: a from length, eps from parity."""
     a = length - 3 - (lam[0] if lam else 0) - len(lam)
     if a < 2:
         raise ValueError(f"length {length} too short for lam={lam}")
     for eps in (0, 1):
-        if a - eps >= 1 and dinv(v_template(lam, a, eps)) % 2 == parity % 2:
-            return phi_inv(lam, a, eps)
+        v = v_template(lam, a, eps)
+        if dinv(v) % 2 == parity % 2:
+            return v
     raise ValueError(f"no template with lam={lam} length={length} parity={parity}")
+
+
+def psi_inv(lam: Partition, length: int, parity: int) -> Partition:
+    """Invert psi: the partition whose extended orbit base is psi_template(lam, length, parity)."""
+    return s_vectors(psi_template(lam, length, parity)).mu
+
+
+def flag_templates(
+    pairing: dict[Partition, Partition], d: int, generalized: bool = False
+) -> list[tuple[Partition, Vector]]:
+    """(lam, template) of the base of each deficit-d (generalized) flagpole whose
+    flag type lam is paired with some lam* in pairing.
+
+    The (lam, a, eps) template has deficit a + defc(v_template(lam, 2, 0)) - 2
+    and length a + 2 + ti_mind(lam), so d fixes a.  A flagpole needs
+    a >= a_floor(lam); a generalized one a >= 2 and length >= 4 + ti_mind(lam*)."""
+    out = []
+    for lam, lam_star in pairing.items():
+        a = d + 2 - defc(v_template(lam, 2, 0))
+        if a >= (max(2, 2 + ti_mind(lam_star) - ti_mind(lam)) if generalized else a_floor(lam)):
+            out += [(lam, v_template(lam, a, eps)) for eps in (0, 1)]
+    return out
 
 
 def count_flagpole(n: int) -> int:
@@ -100,20 +122,6 @@ def count_flagpole_bruteforce(n: int) -> int:
 
 
 # ------------------------------------------------------- generalized variant
-
-def is_generalized_flagpole(mu: Partition, involution: dict[Partition, Partition]) -> bool:
-    """Template base with enough length for the partner of its flag type.
-
-    Needs the flag type lam inside the involution's domain; the base length
-    must be at least 5 plus largest part plus number of parts of lam's
-    partner.  For lam itself the template's a >= 2 already gives that.
-    """
-    m = phi(mu)
-    if m is None or m[0] not in involution:
-        return False
-    lam_star = involution[m[0]]
-    return len(ti2(mu)) >= 5 + (lam_star[0] if lam_star else 0) + len(lam_star)
-
 
 def gflag_lower_bound(k: int) -> int:
     """Lower bound on the number of size-k generalized flagpoles, for any involution."""

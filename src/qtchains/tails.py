@@ -271,7 +271,10 @@ class TailTwoSummary(NamedTuple):
     v: Vector
     s_vectors: tuple[Vector, ...]
     lengths: tuple[int, ...]
-    dinvs: tuple[int, ...]
+
+    @property
+    def dinvs(self) -> tuple[int, ...]:  # computed when read
+        return tuple(map(dinv, self.s_vectors))
 
 
 def s_vectors(v: Vector) -> TailTwoSummary:
@@ -301,5 +304,4 @@ def s_vectors(v: Vector) -> TailTwoSummary:
         v=v,
         s_vectors=tuple(out),
         lengths=tuple(len(s) for s in out),
-        dinvs=tuple(dinv(s) for s in out),
     )

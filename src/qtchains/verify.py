@@ -9,6 +9,7 @@ of chains a certificate for the joint symmetry of the path sums.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count, repeat
 from math import comb
 from typing import Callable, Iterator, NamedTuple
@@ -18,8 +19,8 @@ from .dyck import (
 )
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial, format_terms
-from .steps import nu1_partition, nu2_partition
-from .tails import staircase_profile, staircase_runs, ti, ti2, ti_dinv, ti_mind
+from .steps import nd1_partition, nd2_partition, nu1_partition
+from .tails import staircase_profile, staircase_runs, ti, ti_dinv, ti_mind
 
 
 class Chain:
@@ -370,37 +371,38 @@ def check_extra(
             break
     out.append(_res("extra-c", ok, witness))
 
-    ok = True
-    witness = ""
-    p = partition_from_class(ti2(chain.mu))
-    d2 = partition_dinv(p)
-    base = partition_from_class(ti(chain.mu))
-    if d2 < chain.start_dinv:
-        ok = False
-        witness = f"extended orbit starts at {d2}, below the chain"
+    bottom, depart = _orbit_below(chain, parts)
+    if bottom < chain.start_dinv:
+        witness = f"extended orbit starts at {bottom}, below the chain"
     else:
-        # The extended orbit steps with nu1_partition where it is defined, as
-        # the chain's walk does, and a chain segment starts exactly where it
-        # is not; so the orbit can leave the chain only at a segment start,
-        # where it takes the second-order step from the element before.
-        starts = chain.stored_generators()
-        i = d2 - chain.start_dinv
-        while p != base:
-            if parts[i] != p:
-                ok = False
-                witness = f"extended orbit departs from the chain at dinv {chain.start_dinv + i}"
-                break
-            i += 1
-            if i in starts:
-                p = nu2_partition(parts[i - 1])
-                if p is None:
-                    raise RuntimeError(
-                        f"extended orbit of {chain.mu} stopped at {class_from_partition(parts[i - 1])}"
-                    )
-            else:
-                p = parts[i]
-    out.append(_res("extra-d", ok, witness))
+        witness = f"extended orbit departs from the chain at dinv {depart}"
+    out.append(_res("extra-d", bottom >= chain.start_dinv and depart is None, witness))
     return out
+
+
+def _orbit_below(chain: Chain, parts: list[Partition]) -> tuple[int, int | None]:
+    """The dinv of ti2(mu), the bottom of the extended orbit below ti(mu), and the
+    lowest dinv below ti(mu)'s where the orbit is off the chain's parts, or None.
+
+    The orbit is walked down from ti(mu), one dinv a step.  nd1_partition
+    inverts the chain's nu1 steps, so on the chain only segment starts take a
+    step (nd1, else nd2); off it each step is compared with the chain."""
+    i = ti_dinv(chain.mu) - chain.start_dinv
+    p = partition_from_class(ti(chain.mu))
+    on = 0 <= i < len(parts) and parts[i] == p
+    depart = None
+    while True:
+        if on:
+            i = chain._starts[bisect_right(chain._starts, i) - 1]
+            p = parts[i]
+        q = nd1_partition(p)
+        if q is None and (q := nd2_partition(p)) is None:
+            return chain.start_dinv + i, depart
+        i -= 1
+        p = q
+        on = i >= 0 and parts[i] == p
+        if i >= 0 and not on:
+            depart = chain.start_dinv + i
 
 
 def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]:

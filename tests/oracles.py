@@ -24,7 +24,7 @@ from qtchains.dyck import (
     reduce,
     starts_00,
 )
-from qtchains.flagpole import v_template
+from qtchains.flagpole import phi, v_template
 from qtchains.partitions import (
     Partition, count_partitions_max, format_partition, partitions_of, read_number
 )
@@ -444,6 +444,21 @@ def phi_inv_iterated(lam: Partition, a: int, eps: int) -> Partition:
     if loc is None or loc.plateau_index != 0:
         raise RuntimeError(f"orbit from template did not reach a base class: {v}")
     return loc.mu
+
+
+def is_generalized_flagpole(mu: Partition, involution: dict[Partition, Partition]) -> bool:
+    """Template base with enough length for the partner of its flag type, read
+    off ti2(mu): the membership test flag_templates enumerates in generalized mode.
+
+    Needs the flag type lam inside the involution's domain; the base length
+    must be at least 5 plus largest part plus number of parts of lam's
+    partner.  For lam itself the template's a >= 2 already gives that.
+    """
+    m = phi(mu)
+    if m is None or m[0] not in involution:
+        return False
+    lam_star = involution[m[0]]
+    return len(ti2(mu)) >= 5 + (lam_star[0] if lam_star else 0) + len(lam_star)
 
 
 def antipode_inverse(coll: ChainCollection, v: Vector) -> Vector | None:

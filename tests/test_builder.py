@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tempfile
@@ -26,7 +27,7 @@ from qtchains.builder import (
     validate_collection,
 )
 from qtchains.dyck import dinv, format_vector, parse_vector, reduce
-from qtchains.flagpole import is_flagpole
+from qtchains.flagpole import is_flagpole, phi
 from qtchains.partitions import count_partitions_max, format_partition, parse_partition, partitions_of
 from qtchains.tails import coverage_bound, ti2
 from qtchains.verify import Chain, CheckResult
@@ -434,8 +435,15 @@ def test_k12_profile_golden(coll12):
     assert format_profile(prof) == "11,12,(10,11)^8,11^9"
 
 
+def context_of(coll, word):
+    """build_context for the template base of the partition word, with its flag type."""
+    mu = parse_partition(word)
+    return build_context(coll, phi(mu)[0], ti2(mu))
+
+
 def test_k12_build_context(coll12):
-    ctx = ours, theirs = build_context(coll12, parse_partition("531^4"))
+    ctx = ours, theirs = context_of(coll12, "531^4")
+    assert ours.mu == parse_partition("531^4")
     assert ours.lam == (3, 1)
     assert theirs.lam == (2, 2)
     assert theirs.mu == parse_partition("3^221^4")
@@ -445,7 +453,7 @@ def test_k12_build_context(coll12):
 
 
 def test_k12_assembly_pieces(coll12):
-    ours, theirs = build_context(coll12, parse_partition("531^4"))
+    ours, theirs = context_of(coll12, "531^4")
     assert bridge_vector(coll12, ours.lam, 13, 10) == parse_vector("0012334232")
     assert bridge_vector(coll12, ours.lam, 19, 10) == parse_vector("0012232121")
     assert antipode(coll12, theirs.stages.s_vectors[3]) == parse_vector("00123456645")
@@ -470,6 +478,23 @@ def test_extension_validates(coll12):
     rows = validate_collection(coll12)
     bad = [(c, r) for c, r in rows if not r.ok]
     assert not bad
+
+
+# sha256 of json.dumps(collection_payload(...), sort_keys=True), as
+# tests/test_bench_references.py takes it for the deficit-16 collection
+PAYLOAD_SHA256 = {
+    (20, "flagpole"): "1aea3619a4032291317e923283beefdcef61d19826fa918ee6f11a23503bf159",
+    (16, "generalized"): "34c33d7d549875f58447982c8178b0400de1e805eddff6a499b612c5c7e690f9",
+}
+
+
+@pytest.mark.parametrize("k,mode", PAYLOAD_SHA256, ids=[f"{k}-{m}" for k, m in PAYLOAD_SHA256])
+def test_extension_payload_digest(base_coll, k, mode):
+    """The collections past the benchmark's deficit 16 and in generalized mode
+    stay byte-identical."""
+    payload = collection_payload(extend_all(base_coll, k, mode=mode))
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == PAYLOAD_SHA256[k, mode]
 
 
 def test_extend_is_stable_at_same_k(coll12):
@@ -513,12 +538,12 @@ def test_extend_skips_a_pair_whose_needed_chain_is_missing(base_coll):
 
 @pytest.mark.parametrize(
     "word,message",
-    [("6^4", "6^4 has no template base"), ("921^7", "no chain pair for the flag type 7")],
-    ids=["no-template", "no-flag-type-pair"],
+    [("921^7", "no chain pair for the flag type 7")],
+    ids=["no-flag-type-pair"],
 )
 def test_build_context_names_what_it_lacks(base_coll, word, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_context(base_coll, parse_partition(word))
+        context_of(base_coll, word)
 
 
 def test_extend_raises_on_a_failing_assembled_pair(base_coll):
@@ -537,8 +562,8 @@ def test_extend_derives_a_self_paired_side_once(base_coll, monkeypatch):
     contexts, located = [], []
     build, locate = builder.build_context, builder.locate_in_tail
 
-    def counted_build(coll, mu):
-        contexts.append(build(coll, mu))
+    def counted_build(coll, lam, v):
+        contexts.append(build(coll, lam, v))
         return contexts[-1]
 
     def counted_locate(w):

@@ -3,14 +3,15 @@ from math import comb
 
 import pytest
 
+from qtchains.builder import extend_all
 from qtchains.dyck import area, defc, dinv
 from qtchains.flagpole import (
     a_floor,
     count_flagpole,
     count_flagpole_bruteforce,
+    flag_templates,
     gflag_lower_bound,
     is_flagpole,
-    is_generalized_flagpole,
     phi,
     phi_inv,
     psi,
@@ -19,9 +20,9 @@ from qtchains.flagpole import (
     v_template,
 )
 from qtchains.partitions import parse_partition, partitions_of
-from qtchains.tails import ti2
+from qtchains.tails import s_vectors, ti2
 
-from oracles import phi_inv_iterated
+from oracles import is_generalized_flagpole, phi_inv_iterated
 
 
 def template_grid(max_lam=4, spread=2):
@@ -85,6 +86,20 @@ def test_template_statistics():
         assert dinv(v) == comb(length, 2) - 3 * length - n + first + 7 + eps
 
 
+def test_template_deficit_is_a_plus_a_constant_of_the_flag_type():
+    """The (lam, a, eps) template has deficit a + c(lam), c(lam) the deficit of
+    the (lam, 2, 0) template less 2: flag_templates reads a off d by it."""
+    count = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            c = defc(v_template(lam, 2, 0)) - 2
+            for a in range(2, 26):
+                for eps in (0, 1):
+                    assert defc(v_template(lam, a, eps)) == a + c, (lam, a, eps)
+                    count += 1
+    assert count == 3_216
+
+
 def test_a_floor_values():
     assert a_floor(()) == 3
     assert a_floor((1,)) == 2
@@ -111,6 +126,32 @@ def test_flagpole_membership():
         if is_flagpole(mu)
     }
     assert got == want
+
+
+def test_flag_templates_are_the_bases_of_the_flagpoles():
+    """With every smaller partition a flag type, flag_templates gives the
+    extended orbit base of each flagpole of deficit d <= 20 once, and no
+    other template: is_flagpole, which checks that its length and template
+    criteria agree, runs on every partition of size at most 20."""
+    types: dict = {}
+    for d in range(21):
+        templates = [v for _, v in flag_templates(types, d)]
+        mus = [s_vectors(v).mu for v in templates]
+        assert all(ti2(mu) == v for mu, v in zip(mus, templates)), d
+        assert sorted(mus) == sorted(mu for mu in partitions_of(d) if is_flagpole(mu)), d
+        types.update((lam, lam) for lam in partitions_of(d))
+
+
+def test_a_partition_with_no_template_base_gets_no_template():
+    """6^4 has no template base, so no template of its deficit is its base,
+    though every template with a >= 2 is taken (generalized, each flag type
+    its own partner): extend_all meets partitions only through templates."""
+    mu = parse_partition("6^4")
+    assert phi(mu) is None
+    types = {lam: lam for n in range(22) for lam in partitions_of(n)}
+    templates = flag_templates(types, 24, generalized=True)
+    assert len(templates) == 420
+    assert all(s_vectors(v).mu != mu for _, v in templates)
 
 
 def test_flagpole_counts():
@@ -186,6 +227,19 @@ def test_generalized_membership(base_coll):
         for mu in partitions_of(n):
             if is_flagpole(mu):
                 assert is_generalized_flagpole(mu, pairing)
+
+
+def test_generalized_flag_templates_match_the_membership_oracle(base_coll):
+    """Over the pairing of the generalized deficit-16 collection, flag_templates
+    gives the extended orbit base of each generalized flagpole of deficit
+    d <= 20 once, and no other template."""
+    pairing = extend_all(base_coll, 16, mode="generalized").pairing
+    for d in range(21):
+        templates = [v for _, v in flag_templates(pairing, d, generalized=True)]
+        mus = [s_vectors(v).mu for v in templates]
+        assert all(ti2(mu) == v for mu, v in zip(mus, templates)), d
+        want = [mu for mu in partitions_of(d) if is_generalized_flagpole(mu, pairing)]
+        assert sorted(mus) == sorted(want), d
 
 
 def test_gflag_bound_below_bruteforce(base_coll):

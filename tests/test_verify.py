@@ -13,17 +13,25 @@ from hypothesis import strategies as st
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, validate_collection
 from qtchains.dyck import (
-    Vector, class_from_partition, dinv, enumerate_deficit, mind, parse_vector, partition_dinv
+    Vector,
+    class_from_partition,
+    dinv,
+    enumerate_deficit,
+    mind,
+    parse_vector,
+    partition_dinv,
+    partition_from_class,
 )
 from qtchains.partitions import Partition, format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
-from qtchains.steps import nd, nd1_partition, nu1_partition
-from qtchains.tails import coverage_bound, ti, ti_dinv
+from qtchains.steps import nd, nd1_partition, nd2_partition, nu1_partition, nu2_partition
+from qtchains.tails import _nd1_stretch, coverage_bound, tail_elements, ti, ti2, ti_dinv
 from qtchains.verify import (
     AmhVectors,
     Chain,
     CheckResult,
     _lengths,
+    _orbit_below,
     amh_vectors,
     cat_n_mu,
     check_amh,
@@ -724,6 +732,105 @@ def test_dinv_and_size_after_a_first_order_step():
                 assert (partition_dinv(q), sum(q)) == (d - 1, n - 1), p
                 downs += 1
     assert (ups, downs) == (6_286, 4_990)
+
+
+def test_dinv_and_size_after_a_second_order_step():
+    """nd2_partition lowers partition_dinv and |p| by exactly 1, and
+    nu2_partition raises both by exactly 1, on every partition of size at
+    most 25 where the step is defined and on every nd2 step of the ti2
+    walks for |mu| <= 16: the extended orbit walk reads its bottom dinv off
+    the number of steps it takes."""
+    ups = downs = 0
+    for n in range(26):
+        for p in partitions_of(n):
+            d = partition_dinv(p)
+            q = nu2_partition(p)
+            if q is not None:
+                assert (partition_dinv(q), sum(q)) == (d + 1, n + 1), p
+                ups += 1
+            q = nd2_partition(p)
+            if q is not None:
+                assert (partition_dinv(q), sum(q)) == (d - 1, n - 1), p
+                downs += 1
+    assert (ups, downs) == (156, 135)
+    steps = 0
+    for n in range(17):
+        for mu in partitions_of(n):
+            p = partition_from_class(ti(mu))
+            while (q := nd2_partition(p := _nd1_stretch(p)[0])) is not None:
+                assert (partition_dinv(q), sum(q)) == (partition_dinv(p) - 1, sum(p) - 1), mu
+                p = q
+                steps += 1
+            assert class_from_partition(p) == ti2(mu), mu
+    assert steps == 2_895
+
+
+def test_orbit_bottom_by_index_is_the_dinv_of_ti2(base_coll, coll16):
+    """On every chain of the deficit-16 and the generalized deficit-12
+    collections the downward extra-d walk stays on the chain, and the dinv
+    it reaches the bottom at is that of ti2(mu)."""
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for mu, chain in coll.chains.items():
+            c = _copy(chain)
+            bottom, depart = _orbit_below(c, c.partitions_upto(c.amh_horizon()))
+            assert bottom == partition_dinv(partition_from_class(ti2(mu))), mu
+            assert depart is None, mu
+
+
+def extra_d_damage(coll, k_max: int) -> Iterator[tuple[tuple, str, Chain]]:
+    """The first chain of each pair of deficit at most k_max with damage that
+    extra-d reads: each generator from the dinv of ti2(mu) up to, not at,
+    that of ti(mu) replaced by another class of its dinv and deficit
+    ("orbit"), where there is one; the
+    generators at or below the dinv of ti2(mu) dropped and start_dinv moved
+    to the next one ("start"); the final generator, at the base slot,
+    replaced by the class of that dinv in the orbit of another partition of
+    the deficit ("base")."""
+    for mu, _ in coll.pairs():
+        k = sum(mu)
+        if k > k_max:
+            continue
+        chain = coll.chain(mu)
+        start, gens = chain.start_dinv, chain.generators
+        bottom, top = dinv(ti2(mu)), ti_dinv(mu)
+        for i, g in enumerate(gens):
+            d = dinv(g)
+            if bottom <= d < top:
+                new = next((v for v in enumerate_deficit(k, d) if dinv(v) == d and v != g), None)
+                if new is not None:
+                    yield mu, f"orbit {i}", Chain(mu, start, gens[:i] + [new] + gens[i + 1 :])
+        if bottom < top:
+            j = next(j for j, g in enumerate(gens) if dinv(g) > bottom)
+            yield mu, "start", Chain(mu, dinv(gens[j]), gens[j:])
+        other = next((nu for nu in partitions_of(k) if nu != mu and ti_dinv(nu) <= top), None)
+        if other is not None:
+            new = tail_elements(other, top - ti_dinv(other) + 1)[-1]
+            yield mu, "base", Chain(mu, start, gens[:-1] + [new])
+
+
+def test_check_pair_matches_the_clause_oracle_on_extra_d_damage(coll12):
+    """Damage to the extended orbit part of a chain: check_pair, whose
+    extra-d walks the orbit down from the base class, gives the rows of the
+    clause-by-clause check, which walks it up from ti2(mu).  A moved orbit
+    element fails extra-d at a departure and a moved start at the orbit's
+    bottom; a replaced base-slot generator fails basic-d, and extra-d, which
+    reads the orbit below the base dinv, passes in both."""
+    counts = Counter()
+    for mu, op, bad in extra_d_damage(coll12, 10):
+        star = coll12.partner(mu)
+        partner = bad if star == mu else coll12.chain(star)
+        got = check_pair(bad, partner, sum(mu))
+        assert got == check_pair_by_clauses(bad, partner, sum(mu)), (mu, op)
+        rows = {r.clause: r for ctx, r in got if ctx == format_partition(mu)}
+        extra_d = rows["extra-d"]
+        kind = op.split()[0]
+        if kind == "base":
+            assert extra_d.ok and not rows["basic-d"].ok, (mu, op)
+        else:
+            want = "departs from the chain" if kind == "orbit" else f"starts at {dinv(ti2(mu))},"
+            assert not extra_d.ok and want in extra_d.witness, (mu, op)
+        counts[kind] += 1
+    assert counts == {"orbit": 92, "start": 38, "base": 36}
 
 
 def partitions_to_size(n_max: int):
