@@ -334,7 +334,7 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
 
     for k, mus in sorted(by_k.items()):
         group = {mu: fresh(mu) for mu in mus}
-        checked: set[Partition] = set()
+        starts: dict[Partition, list[Partition] | None] = {}
         clean = True
         for mu in mus:
             star = coll.pairing[mu]
@@ -342,9 +342,11 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
                 continue
             chain = group[mu]
             partner = group[star] if star in group else fresh(star)
-            pair = check_pair(chain, partner, k)
+            ours = check_chain(chain)
+            theirs = ours if star == mu else check_chain(partner)
+            pair = pair_rows(ours, theirs, k)
             rows += pair
-            checked |= {mu, star}
+            starts |= {mu: ours.starts, star: theirs.starts}
             clean = clean and all(r.ok for _, r in pair)
             if opposite_n:
                 name = format_partition(mu)
@@ -352,12 +354,16 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
                     rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
                 except RuntimeError as e:
                     rows.append((name, CheckResult("opposite", False, str(e))))
-        fault = _disjoint_fault(group, k, clean and checked == group.keys())
+        clean = clean and starts.keys() == group.keys()
+        held = [p for s in starts.values() for p in s or [None]]
+        fault = _disjoint_fault(group, k, held if clean else None)
         disjoint.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
     return rows + disjoint
 
 
-def _disjoint_fault(chains: dict[Partition, Chain], k: int, clean: bool) -> str:
+def _disjoint_fault(
+    chains: dict[Partition, Chain], k: int, starts: list[Partition | None] | None
+) -> str:
     """The first class two deficit-k chains share up to dinv d_hi, or the first walk
     error; then, at a base deficit, the first dinv where the chains miss a class; "" if none.
 
@@ -365,32 +371,39 @@ def _disjoint_fault(chains: dict[Partition, Chain], k: int, clean: bool) -> str:
     for k <= BASE_K_MAX the chains must be a disjoint union of all of them.
     Classes are keyed and counted by their partitions.
 
-    clean says that every chain passed check_pair with a partner among
-    chains.  Then d_hi is the larger of k and the largest base dinv of the
-    chains, and the witness is the one a walk to coverage_bound(k) + 10
-    finds: past its base dinv a passing chain is the nu1-orbit of its base
-    class and nd1_partition inverts nu1_partition, so two chains that
-    share a class above d_hi share one at d_hi, and each walk meets its
-    classes in dinv order.  Above d_hi each chain holds one class per dinv
-    and count_partitions_max(k, d) is p(k) for d >= k, so each count above
-    d_hi is the count at d_hi.  Other groups walk to coverage_bound(k) + 10.
+    starts, given when every chain passed check_pair with a partner among
+    chains, lists their ChainCheck.starts, None for a chain without them.
+    Then d_hi is the larger of k and the largest base dinv of the chains,
+    and the witness is the one a walk to coverage_bound(k) + 10 finds: past
+    its base dinv a passing chain is the nu1-orbit of its base class and
+    nd1_partition inverts nu1_partition, so two chains that share a class
+    above d_hi share one at d_hi, and each walk meets its classes in dinv
+    order.  Above d_hi each chain holds one class per dinv and
+    count_partitions_max(k, d) is p(k) for d >= k, so each count above
+    d_hi is the count at d_hi.  When no start is None or repeated, no class
+    is shared and nothing is walked.  Other groups walk to
+    coverage_bound(k) + 10.
     """
-    if clean:
-        d_hi = max([k, *(ti_dinv(chain.mu) for chain in chains.values())])
-    else:
+    if starts is None:
         d_hi = coverage_bound(k) + 10
-    owner: dict[Partition, Partition] = {}
-    for mu, chain in chains.items():
-        try:
-            parts = chain.partitions_upto(d_hi)
-        except RuntimeError as e:
-            return str(e)
-        for p in parts:
-            if owner.setdefault(p, mu) != mu:
-                c = format_vector(class_from_partition(p))
-                return f"{c} in {format_partition(owner[p])} and {format_partition(mu)}"
+    else:
+        d_hi = max([k, *(ti_dinv(chain.mu) for chain in chains.values())])
+    if starts and None not in starts and len(set(starts)) == len(starts):
+        dinvs = (d for chain in chains.values() for d in range(chain.start_dinv, d_hi + 1))
+    else:
+        owner: dict[Partition, Partition] = {}
+        for mu, chain in chains.items():
+            try:
+                parts = chain.partitions_upto(d_hi)
+            except RuntimeError as e:
+                return str(e)
+            for p in parts:
+                if owner.setdefault(p, mu) != mu:
+                    c = format_vector(class_from_partition(p))
+                    return f"{c} in {format_partition(owner[p])} and {format_partition(mu)}"
+        dinvs = map(partition_dinv, owner)
     if k <= BASE_K_MAX:
-        held = Counter(map(partition_dinv, owner))
+        held = Counter(dinvs)
         for d in range(d_hi + 1):
             if held[d] != count_partitions_max(k, d):
                 return f"chains hold {held[d]} of the {count_partitions_max(k, d)} classes at dinv {d}"
@@ -513,10 +526,11 @@ def extend_all(coll: ChainCollection, k: int, mode: str = "flagpole") -> ChainCo
         )
     chains = {mu: c for mu, c in coll.chains.items() if sum(mu) <= k}
     pairing = {mu: coll.pairing[mu] for mu in chains}
+    offsets: dict[Partition, int] = {}  # c(lam) of flag_templates, computed once each
     for d in range(coll.k_max + 1, k + 1):
         cur = ChainCollection(chains, pairing, d - 1)
         derived: set[Vector] = set()  # the template of each side derived at deficit d
-        for lam, v in flag_templates(pairing, d, mode == "generalized"):
+        for lam, v in flag_templates(pairing, d, offsets, mode == "generalized"):
             if v in derived:
                 continue
             ours, theirs = ctx = build_context(cur, lam, v)

@@ -186,8 +186,9 @@ def qdv_from_partition(p: Partition, n: int) -> Vector:
     return tuple(range(free)) + tuple(map(sub, range(free, n), reversed(p)))
 
 
-def partition_from_class(v: Vector) -> Partition:
-    """Partition of the class of v; any representative gives the same answer."""
+def partition_and_mind(v: Vector) -> tuple[Partition, int]:
+    """partition_from_class(v) and its mind, in one pass: part i is
+    n - i - v[n - i] while that is positive, so part i plus i is n - v[n - i]."""
     n = len(v)
     parts = []
     for i in range(1, n + 1):
@@ -195,7 +196,13 @@ def partition_from_class(v: Vector) -> Partition:
         if a <= 0:
             break
         parts.append(a)
-    return tuple(parts)
+    ell = len(parts)
+    return tuple(parts), max(ell + 1, n - min(v[n - ell:], default=n))
+
+
+def partition_from_class(v: Vector) -> Partition:
+    """Partition of the class of v; any representative gives the same answer."""
+    return partition_and_mind(v)[0]
 
 
 def class_from_partition(p: Partition) -> Vector:

@@ -96,17 +96,23 @@ def psi_inv(lam: Partition, length: int, parity: int) -> Partition:
 
 
 def flag_templates(
-    pairing: dict[Partition, Partition], d: int, generalized: bool = False
+    pairing: dict[Partition, Partition],
+    d: int,
+    offsets: dict[Partition, int],
+    generalized: bool = False,
 ) -> list[tuple[Partition, Vector]]:
     """(lam, template) of the base of each deficit-d (generalized) flagpole whose
     flag type lam is paired with some lam* in pairing.
 
-    The (lam, a, eps) template has deficit a + defc(v_template(lam, 2, 0)) - 2
-    and length a + 2 + ti_mind(lam), so d fixes a.  A flagpole needs
+    The (lam, a, eps) template has deficit a + c(lam), c(lam) =
+    defc(v_template(lam, 2, 0)) - 2, held in the caller's offsets, and
+    length a + 2 + ti_mind(lam), so d fixes a.  A flagpole needs
     a >= a_floor(lam); a generalized one a >= 2 and length >= 4 + ti_mind(lam*)."""
     out = []
     for lam, lam_star in pairing.items():
-        a = d + 2 - defc(v_template(lam, 2, 0))
+        if lam not in offsets:
+            offsets[lam] = defc(v_template(lam, 2, 0)) - 2
+        a = d - offsets[lam]
         if a >= (max(2, 2 + ti_mind(lam_star) - ti_mind(lam)) if generalized else a_floor(lam)):
             out += [(lam, v_template(lam, a, eps)) for eps in (0, 1)]
     return out

@@ -15,7 +15,8 @@ from math import comb
 from typing import Callable, Iterator, NamedTuple
 
 from .dyck import (
-    Vector, class_from_partition, mind, partition_dinv, partition_from_class, starts_00
+    Vector, class_from_partition, partition_and_mind, partition_dinv, partition_from_class,
+    starts_00,
 )
 from .partitions import Partition, format_partition
 from .poly import QtPolynomial, format_terms
@@ -53,10 +54,10 @@ class Chain:
 
         Each first-order step is surgery on the partition p of the last
         element and takes its mind to max(mind(p), len(p) + 2), so only a
-        segment's first element computes mind.  Only the final segment may
-        reach the base dinv of mu, where a valid chain holds its final
-        generator; a non-final segment still running there, or a final
-        segment that stops, raises RuntimeError.
+        segment's first element reads mind, off its generator.  Only the
+        final segment may reach the base dinv of mu, where a valid chain
+        holds its final generator; a non-final segment still running there,
+        or a final segment that stops, raises RuntimeError.
         """
         parts, minds, starts = self._parts, self._minds, self._starts
         if len(parts) >= need:
@@ -72,8 +73,7 @@ class Chain:
                 if seg == last:
                     raise RuntimeError(f"final segment of {self} stopped")
                 seg += 1
-                p = partition_from_class(self.generators[seg])
-                m = mind(p)
+                p, m = partition_and_mind(self.generators[seg])
             if seg < last and len(parts) >= self._base_slot:
                 raise RuntimeError(
                     f"segment {seg} of {self} still runs at the base dinv {ti_dinv(self.mu)}"
@@ -180,18 +180,19 @@ def _res(clause: str, ok: bool, witness: str = "") -> CheckResult:
 
 
 class ChainCheck(NamedTuple):
-    """One walk of a chain through its amh horizon, and the rows it decides alone.
+    """One walk of a chain, and the rows it decides alone.
 
     rows are basic-a, basic-b, basic-d, local-a, local-b and extra-a to
-    extra-d, in that order; parts holds the partitions of the walk and amh
-    the descent data of their length profile.  A chain that cannot be
-    walked has the single failing basic-a row, no parts and no amh.
+    extra-d, in that order, and amh the descent data of its length profile.
+    starts holds the start partitions when the walk stopped at the base
+    slot, else None.  A chain that cannot be walked has the single failing
+    basic-a row and no amh.
     """
 
     chain: Chain
     rows: list[CheckResult]
-    parts: list[Partition]
     amh: AmhVectors | None
+    starts: list[Partition] | None
 
     @property
     def ok(self) -> bool:
@@ -199,39 +200,56 @@ class ChainCheck(NamedTuple):
 
 
 def check_chain(chain: Chain) -> ChainCheck:
-    """Walk chain once, on partitions, to its amh horizon and run its one-chain rows.
+    """Walk chain once, on partitions, and run its one-chain rows.
 
-    The length profile is the mind of each partition, carried along the
-    walk; class vectors are built only for witnesses.  A chain that starts
-    above its horizon holds no element to check and fails basic-a alone.
+    The walk stops at the base slot when its starts are maximal
+    (_maximal_starts).  Past it the chain is then the nu1-orbit of the base
+    class, whose lengths, the staircase of ti_mind(mu), rise at once and
+    never drop: they add no descent and end no flat run, and no row reads a
+    length past the last descent.  Otherwise the walk goes on to the amh
+    horizon.  The length profile is the mind of each partition, carried
+    along the walk; class vectors are built only for witnesses.  A chain
+    that starts above its horizon fails basic-a alone.
     """
     try:
-        parts = chain.partitions_upto(chain.amh_horizon())
-        if not parts:
-            raise RuntimeError(f"{chain} starts above its amh horizon {chain.amh_horizon()}")
+        parts = chain.partitions_upto(ti_dinv(chain.mu))
+        starts = _maximal_starts(chain, parts)
+        if starts is None:
+            parts = chain.partitions_upto(chain.amh_horizon())
+            if not parts:
+                raise RuntimeError(f"{chain} starts above its amh horizon {chain.amh_horizon()}")
     except RuntimeError as e:
-        return ChainCheck(chain, [_res("basic-a", False, str(e))], [], None)
+        return ChainCheck(chain, [_res("basic-a", False, str(e))], None, None)
     prof = chain._minds[:len(parts)]
     amh = amh_vectors(chain.start_dinv, prof)
-    rows = check_basic(chain, parts, prof) + check_local(chain, prof, amh) + check_extra(
-        chain, parts, prof, amh
+    rows = (
+        check_basic(chain, parts, prof, starts or parts)
+        + check_local(chain, prof, amh)
+        + check_extra(chain, parts, prof, amh)
     )
-    return ChainCheck(chain, rows, parts, amh)
+    return ChainCheck(chain, rows, amh, starts)
+
+
+def _maximal_starts(chain: Chain, parts: list[Partition]) -> list[Partition] | None:
+    """The chain's start partitions when the last of parts, at the base slot,
+    is the base class of mu and no start has an nd1_partition, else None.
+    The base class has no nd1_partition, so it starts the final segment.
+    nd1_partition inverts nu1_partition, so two segments from such starts
+    are equal or share no class."""
+    if parts[-1:] != [partition_from_class(ti(chain.mu))]:
+        return None
+    starts = [parts[i] for i in chain._starts]
+    return starts if all(nd1_partition(p) is None for p in starts) else None
 
 
 def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:
     """Every structural clause of a chain pair, as (context, result) rows.
 
     Each chain is checked once (check_chain), the partner only when it is
-    another partition, and pair_rows joins the results.  A chain that
-    cannot be walked gives its single failing basic-a row.
+    another partition, and pair_rows joins the results.
     """
     ours = check_chain(chain)
-    if ours.amh is None:
-        return [(format_partition(chain.mu), ours.rows[0])]
     theirs = ours._replace(chain=partner) if partner.mu == chain.mu else check_chain(partner)
-    if theirs.amh is None:
-        return [(format_partition(partner.mu), theirs.rows[0])]
     return pair_rows(ours, theirs, k)
 
 
@@ -240,8 +258,14 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
 
     The chain's basic, local and extra rows come first, with the pair's
     basic-c and basic-e among them, then the partner's when it is another
-    partition, then the pair's amh rows under the chain's name.
+    partition, then the pair's amh rows under the chain's name.  A chain
+    that cannot be walked gives its single failing basic-a row.  Two sides
+    with starts share a class exactly when they share a start; otherwise,
+    and for the witness, both are walked to their horizons.
     """
+    for side in (ours, theirs):
+        if side.amh is None:
+            return [(format_partition(side.chain.mu), side.rows[0])]
     chain, partner = ours.chain, theirs.chain
     sides = [ours] if partner.mu == chain.mu else [ours, theirs]
     if len(sides) == 1:
@@ -251,7 +275,11 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
             "self-paired chain differs from partner",
         )
     else:
-        shared = set(ours.parts) & set(theirs.parts)
+        shared = None in (ours.starts, theirs.starts) or set(ours.starts) & set(theirs.starts)
+        if shared:
+            shared = set(chain.partitions_upto(chain.amh_horizon())) & set(
+                partner.partitions_upto(partner.amh_horizon())
+            )
         basic_e = _res(
             "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
         )
@@ -269,24 +297,27 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
     return rows + [(names[0], r) for r in check_amh(sides[0].amh, sides[-1].amh, k)]
 
 
-def check_basic(chain: Chain, parts: list[Partition], prof: list[int]) -> list[CheckResult]:
+def check_basic(
+    chain: Chain, parts: list[Partition], prof: list[int], held: list[Partition]
+) -> list[CheckResult]:
     """Deficit and dinv bookkeeping, distinct elements and ending orbit: basic-a, b and d.
 
-    parts holds the partitions of the chain's elements through its amh
-    horizon and prof their mind.  Dinv and the deficit |p| - dinv are read
-    at segment starts only: each later element is nu1 of the one before, one
-    more in dinv and in size.  A stored generator must be the reduced vector
-    of its class, of length mind(p).
+    parts holds the partitions of the chain's elements and prof their mind.
+    Dinv and the deficit |p| - dinv are read at segment starts only: each
+    later element is nu1 of the one before, one more in dinv and in size.
+    A stored generator must be the reduced vector of its class, of length
+    mind(p).  Basic-b compares held: parts, or the chain's maximal starts
+    (_maximal_starts), which are distinct exactly when the elements are.
     """
     mu = chain.mu
     k = sum(mu)
     gens = chain.stored_generators()
     bad = [
         i
-        for i, p in enumerate(parts)
-        if i in gens
-        and ((dv := partition_dinv(p)) != chain.start_dinv + i
-             or sum(p) - dv != k or len(gens[i]) != prof[i])
+        for i, g in gens.items()
+        if i < len(parts)
+        and ((dv := partition_dinv(p := parts[i])) != chain.start_dinv + i
+             or sum(p) - dv != k or len(g) != prof[i])
     ]
     return [
         _res(
@@ -296,7 +327,7 @@ def check_basic(chain: Chain, parts: list[Partition], prof: list[int]) -> list[C
         ),
         _res(
             "basic-b",
-            len(set(parts)) == len(parts),
+            len(set(held)) == len(held),
             f"repeated element in chain for {format_partition(mu)}",
         ),
         _res(
@@ -324,8 +355,9 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
         hi = amh.a[i + 1] - chain.start_dinv
         run = prof[lo:hi]
         h, m = amh.h[i], amh.m[i]
-        # h over the flat run after the descent, then the staircase above h
-        want = ([h] * m + staircase_profile(h, len(run) - m))[: len(run)]
+        # h over the flat run after the descent, which ends inside the run,
+        # then the staircase above h
+        want = [h] * m + staircase_profile(h, len(run) - m)
         if run != want or len(run) < m + 2:
             ok = False
             witness = f"run {i} is {run}, wanted prefix {want} with a rise"
@@ -337,7 +369,10 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
 def check_extra(
     chain: Chain, parts: list[Partition], prof: list[int], amh: AmhVectors
 ) -> list[CheckResult]:
-    """Valley shape, run height bounds, drop criterion, extended orbit containment."""
+    """Valley shape, run height bounds, drop criterion, extended orbit containment.
+
+    Extra-c is read at segment ends: inside a segment the length rises
+    exactly when mind(p) = len(p) + 1, which makes p empty or end in 1."""
     out: list[CheckResult] = []
 
     rising = False
@@ -356,7 +391,7 @@ def check_extra(
         lo = amh.a[i] - chain.start_dinv
         hi = amh.a[i + 1] - chain.start_dinv
         cap = 1 + max(amh.h[i], amh.h[i + 1])
-        if any(x > cap for x in prof[lo:hi]):
+        if max(prof[lo:hi]) > cap:
             ok = False
             witness = f"run {i} exceeds {cap}"
             break
@@ -364,8 +399,9 @@ def check_extra(
 
     ok = True
     witness = ""
-    for i in range(len(parts) - 1):
-        if (prof[i] < prof[i + 1]) != starts_00(parts[i], prof[i]):
+    for s in chain._starts[1:]:
+        i = s - 1
+        if s < len(parts) and (prof[i] < prof[s]) != starts_00(parts[i], prof[i]):
             ok = False
             witness = f"element {class_from_partition(parts[i])} at {chain.start_dinv + i}"
             break

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtchains import builder
+from qtchains import builder, flagpole
 from qtchains.builder import (
     BASE_K_MAX,
     ChainCollection,
@@ -27,7 +27,7 @@ from qtchains.builder import (
     validate_collection,
 )
 from qtchains.dyck import dinv, format_vector, parse_vector, reduce
-from qtchains.flagpole import is_flagpole, phi
+from qtchains.flagpole import is_flagpole, phi, v_template
 from qtchains.partitions import count_partitions_max, format_partition, parse_partition, partitions_of
 from qtchains.tails import coverage_bound, ti2
 from qtchains.verify import Chain, CheckResult
@@ -577,6 +577,22 @@ def test_extend_derives_a_self_paired_side_once(base_coll, monkeypatch):
     assert sum(ours is theirs for ours, theirs in contexts) == 66
     assert all(ours is theirs for ours, theirs in contexts if ours.mu == theirs.mu)
     assert len(located) == 905
+
+
+def test_extend_computes_each_template_offset_once(base_coll, monkeypatch):
+    """extend_all(base, 16) evaluates the template offset c(lam) =
+    defc(v_template(lam, 2, 0)) - 2 once for each flag type it meets: the
+    195 chains below deficit 16, each once (it was once per flag type and
+    deficit).  A fresh call starts with no offsets."""
+    seen = []
+    defc = flagpole.defc
+    monkeypatch.setattr(flagpole, "defc", lambda v: seen.append(v) or defc(v))
+    for _ in range(2):
+        seen.clear()
+        coll = extend_all(base_coll, 16)
+        below = [lam for lam in coll.chains if sum(lam) < 16]
+        assert len(below) == 195
+        assert sorted(seen) == sorted(v_template(lam, 2, 0) for lam in below)
 
 
 def test_extend_rejects_unknown_mode(base_coll):

@@ -134,8 +134,9 @@ def test_flag_templates_are_the_bases_of_the_flagpoles():
     other template: is_flagpole, which checks that its length and template
     criteria agree, runs on every partition of size at most 20."""
     types: dict = {}
+    offsets: dict = {}
     for d in range(21):
-        templates = [v for _, v in flag_templates(types, d)]
+        templates = [v for _, v in flag_templates(types, d, offsets)]
         mus = [s_vectors(v).mu for v in templates]
         assert all(ti2(mu) == v for mu, v in zip(mus, templates)), d
         assert sorted(mus) == sorted(mu for mu in partitions_of(d) if is_flagpole(mu)), d
@@ -149,7 +150,7 @@ def test_a_partition_with_no_template_base_gets_no_template():
     mu = parse_partition("6^4")
     assert phi(mu) is None
     types = {lam: lam for n in range(22) for lam in partitions_of(n)}
-    templates = flag_templates(types, 24, generalized=True)
+    templates = flag_templates(types, 24, {}, generalized=True)
     assert len(templates) == 420
     assert all(s_vectors(v).mu != mu for _, v in templates)
 
@@ -235,7 +236,7 @@ def test_generalized_flag_templates_match_the_membership_oracle(base_coll):
     d <= 20 once, and no other template."""
     pairing = extend_all(base_coll, 16, mode="generalized").pairing
     for d in range(21):
-        templates = [v for _, v in flag_templates(pairing, d, generalized=True)]
+        templates = [v for _, v in flag_templates(pairing, d, {}, generalized=True)]
         mus = [s_vectors(v).mu for v in templates]
         assert all(ti2(mu) == v for mu, v in zip(mus, templates)), d
         want = [mu for mu in partitions_of(d) if is_generalized_flagpole(mu, pairing)]

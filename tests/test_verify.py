@@ -19,12 +19,14 @@ from qtchains.dyck import (
     enumerate_deficit,
     mind,
     parse_vector,
+    partition_and_mind,
     partition_dinv,
     partition_from_class,
+    starts_00,
 )
 from qtchains.partitions import Partition, format_partition, partitions_of
 from qtchains.poly import QtPolynomial, cat_n, deficit_slice
-from qtchains.steps import nd, nd1_partition, nd2_partition, nu1_partition, nu2_partition
+from qtchains.steps import nd, nd1_partition, nd2_partition, nu1, nu1_partition, nu2_partition
 from qtchains.tails import _nd1_stretch, coverage_bound, tail_elements, ti, ti2, ti_dinv
 from qtchains.verify import (
     AmhVectors,
@@ -36,6 +38,7 @@ from qtchains.verify import (
     cat_n_mu,
     check_amh,
     check_basic,
+    check_chain,
     check_pair,
     opposite_bruteforce,
     report_lines,
@@ -52,6 +55,7 @@ from oracles import (
     lift,
     opposite_per_n,
     partition_dinv_by_cells,
+    reduce_by_lifting,
 )
 
 
@@ -65,7 +69,7 @@ def chain15(gens: list = GENS15) -> Chain:
 def basic(chain: Chain, d: int) -> list[CheckResult]:
     """check_basic on the chain's elements through dinv d: basic-a, b and d."""
     parts = chain.partitions_upto(d)
-    return check_basic(chain, parts, [mind(p) for p in parts])
+    return check_basic(chain, parts, [mind(p) for p in parts], parts)
 
 
 def lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
@@ -178,7 +182,7 @@ def test_check_basic_looks_up_dinv_once_per_segment_start(monkeypatch):
     before = dinv.cache_info()
     for parts in (walked, walked[:4]):
         seen.clear()
-        assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts]))
+        assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts], parts))
         assert seen == [parts[i] for i in c._starts if i < len(parts)]
     assert len(seen) == 2 and c._starts == [0, 2, 4, 6]
     assert dinv.cache_info() == before
@@ -290,6 +294,13 @@ DAMAGED_VARIANTS = 867
 DAMAGED_DIGEST = "5506fac25c22ca71ef85128623f12222309c1cf8321ad3da6f91d19ffe3e218f"
 
 
+def group_starts(group: dict) -> list:
+    """The ChainCheck.starts of the chains of group, None for a chain without
+    them, as validate_collection hands them to the disjoint row of a group
+    whose pair rows all pass."""
+    return [p for c in group.values() for p in check_chain(c).starts or [None]]
+
+
 def damaged_report(coll, k_max: int) -> list[str]:
     """check_pair rows and the disjoint witness of each chain of deficit at most
     k_max with one generator duplicated or, when it has several, dropped."""
@@ -310,7 +321,8 @@ def damaged_report(coll, k_max: int) -> list[str]:
             rows = check_pair(bad, bad if star == mu else coll.chain(star), k)
             out.append(f"{mu} {op} {i}")
             out += [f"  {ctx}: {line}" for (ctx, _), line in zip(rows, report_lines([r for _, r in rows]))]
-            out.append(f"  disjoint: {_disjoint_fault(group, k, all(r.ok for _, r in rows))}")
+            starts = group_starts(group) if all(r.ok for _, r in rows) else None
+            out.append(f"  disjoint: {_disjoint_fault(group, k, starts)}")
     return out
 
 
@@ -343,50 +355,79 @@ def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
                 for _, r in check_pair(group[mu], group[star], k)
             )
             assert clean
-            assert _disjoint_fault(group, k, clean) == disjoint_fault_by_walk(_fresh(group), k), k
+            starts = group_starts(group)
+            assert None not in starts
+            assert _disjoint_fault(group, k, starts) == disjoint_fault_by_walk(_fresh(group), k), k
             first, *rest = group
             for mu in rest[-3:]:
                 damaged = {**group, first: Chain(mu, ti_dinv(mu), [ti(mu)])}
                 want = disjoint_fault_by_walk(_fresh(damaged), k)
-                assert _disjoint_fault(damaged, k, True) == want != "", (k, mu)
+                assert _disjoint_fault(damaged, k, group_starts(damaged)) == want != "", (k, mu)
                 shared += 1
             if k <= builder.BASE_K_MAX and rest:
                 damaged = {mu: group[mu] for mu in [first, *rest[:-1]]}
                 want = disjoint_fault_by_walk(_fresh(damaged), k)
-                assert _disjoint_fault(damaged, k, True) == want != "", k
+                assert _disjoint_fault(damaged, k, group_starts(damaged)) == want != "", k
                 missing += 1
     assert shared == 2 * (1 + 2 + 3 + 3) + 3 * (11 + 7)
     assert missing == 2 * 4
 
 
-# partitions validate_collection walks on the deficit-16 collection; 32,920
-# when every chain was walked to coverage_bound(k) + 10, 19,584 when the
-# base deficits still were
-WALKED_BY_VERIFY_16 = 19_136
+# partitions validate_collection walks on the deficit-16 collection, and the
+# nu1_partition steps it takes; 19,136 and 18,895 when every chain was walked
+# to its amh horizon, 32,920 partitions when every chain was walked to
+# coverage_bound(k) + 10
+WALKED_BY_VERIFY_16 = 12_318
+NU1_BY_VERIFY_16 = 12_077
 
 
-def test_disjoint_row_stops_clean_groups_at_their_largest_base_dinv(monkeypatch, coll16):
-    """validate_collection on the deficit-16 collection walks each chain only
-    to the larger of its deficit and the largest base dinv of its deficit (or
-    its own amh horizon, when that lies further), not to coverage_bound(k) + 10."""
+def test_verify_walks_each_chain_through_its_base_slot(monkeypatch, coll16):
+    """validate_collection on the deficit-16 collection walks each chain
+    through its base slot, at dinv max(ti_dinv(mu), start), and no further:
+    every chain there ends in the base class of mu with maximal segment
+    starts, so the rest of it is that class's orbit, whose lengths add no
+    descent, and the starts decide basic-b, basic-e and the disjoint rows.
+    No step is taken past the base slot, so each segment start but the
+    first follows one nu1_partition call that returned None; basic-a reads
+    one partition_dinv per generator."""
     made: list[Chain] = []
+    steps = []
+    dinvs = []
 
     class Recorded(Chain):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
+    step, dinv_of = verify.nu1_partition, verify.partition_dinv
     monkeypatch.setattr(builder, "Chain", Recorded)
+    monkeypatch.setattr(verify, "nu1_partition", lambda p: steps.append(p) or step(p))
+    monkeypatch.setattr(verify, "partition_dinv", lambda p: dinvs.append(p) or dinv_of(p))
     rows = validate_collection(coll16)
     assert len(rows) == 3145 and all(r.ok for _, r in rows)
-    tops = {}
+    assert len(made) == len(coll16.chains)
     for c in made:
-        tops[sum(c.mu)] = max(tops.get(sum(c.mu), 0), ti_dinv(c.mu))
-    for c in made:
-        k = sum(c.mu)
-        top = max(tops[k], k, c.amh_horizon())
-        assert len(c._parts) == top - c.start_dinv + 1, c
-    assert sum(len(c._parts) for c in made) == WALKED_BY_VERIFY_16
+        assert len(c._parts) == max(ti_dinv(c.mu), c.start_dinv) - c.start_dinv + 1, c
+        assert len(c._starts) == len(c.generators), c
+    walked = sum(len(c._parts) for c in made)
+    assert walked == WALKED_BY_VERIFY_16
+    assert len(steps) == NU1_BY_VERIFY_16 == walked - len(made)
+    assert len(dinvs) == sum(len(c.generators) for c in made) == 4_594
+
+
+def test_check_chain_stops_at_the_base_slot_with_the_horizon_amh(base_coll, coll16):
+    """Every chain of the deficit-16 and the generalized deficit-12
+    collections ends in the base class of mu with maximal starts:
+    check_chain walks it through its base slot only, holds the partitions
+    of its generators as starts, and its amh data are those of the
+    class-vector profile through the amh horizon."""
+    for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
+        for mu, chain in coll.chains.items():
+            checked = check_chain(_copy(chain))
+            assert checked.ok, mu
+            assert checked.starts == [partition_from_class(g) for g in chain.generators], mu
+            assert len(checked.chain._parts) == ti_dinv(mu) - chain.start_dinv + 1, mu
+            assert checked.amh == chain_amh(_copy(chain)), mu
 
 
 def test_check_pair_matches_the_clause_oracle(base_coll, coll16):
@@ -715,6 +756,73 @@ def test_mind_after_a_first_order_step():
     assert steps == 6_286
 
 
+def test_extra_c_holds_across_every_first_order_step():
+    """The reduced length never drops across a nu1_partition step, and the
+    drop criterion holds there: it rises exactly when the length of p starts
+    with 0 0, on every partition of size at most 22 with a first-order step.
+    So check_extra reads extra-c at segment ends only."""
+    steps = 0
+    for n in range(23):
+        for p in partitions_of(n):
+            q = nu1_partition(p)
+            if q is not None:
+                assert mind(q) >= mind(p), p
+                assert (mind(p) < mind(q)) == starts_00(p, mind(p)), p
+                steps += 1
+    assert steps == 3_104
+
+
+def test_segments_from_maximal_starts_share_no_class():
+    """nd1_partition inverts nu1_partition, so the first-order segments from
+    partitions with no nd1_partition are equal or share no class: the 728
+    such starts of size at most 18, each walked up to 40 steps, hold 3,010
+    classes, none twice.  check_chain reads basic-b, basic-e and the
+    disjoint row off the starts by it."""
+    owner: dict = {}
+    starts = 0
+    for n in range(19):
+        for p in partitions_of(n):
+            if nd1_partition(p) is not None:
+                continue
+            starts += 1
+            q = p
+            for _ in range(40):
+                assert owner.setdefault(q, p) == p, (p, q)
+                q = nu1_partition(q)
+                if q is None:
+                    break
+    assert (starts, len(owner)) == (728, 3_010)
+
+
+def test_the_base_class_has_no_first_order_predecessor():
+    """The base class ti(mu) has no nd1_partition for every partition mu of
+    size at most 20, so an element at the base slot that is the base class
+    starts the final segment: _maximal_starts reads no segment index."""
+    bases = [partition_from_class(ti(mu)) for n in range(21) for mu in partitions_of(n)]
+    assert all(nd1_partition(p) is None for p in bases)
+    assert len(bases) == 2_714
+
+
+def test_start_reader_gives_the_reduced_length(base_coll, coll16):
+    """partition_and_mind reads the partition of partition_from_class and the
+    reduced length, mind of that partition and the length of the lifting
+    oracle's reduced vector, on every generator of the deficit-16 and the
+    generalized deficit-12 collections, and on every class of deficit at
+    most 8 and dinv at most 30, reduced and lifted."""
+    vectors = [
+        g
+        for coll in (coll16, extend_all(base_coll, 12, mode="generalized"))
+        for c in coll.chains.values()
+        for g in c.generators
+    ]
+    classes = [v for k in range(9) for v in enumerate_deficit(k, 30)]
+    vectors += classes + [lift(v) for v in classes]
+    for v in vectors:
+        p = partition_from_class(v)
+        assert partition_and_mind(v) == (p, mind(p)) == (p, len(reduce_by_lifting(v))), v
+    assert len(classes) == 1_860
+
+
 def test_dinv_and_size_after_a_first_order_step():
     """nu1_partition raises partition_dinv and |p| by exactly 1, and
     nd1_partition lowers both by exactly 1, on every partition of size at
@@ -831,6 +939,130 @@ def test_check_pair_matches_the_clause_oracle_on_extra_d_damage(coll12):
             assert not extra_d.ok and want in extra_d.witness, (mu, op)
         counts[kind] += 1
     assert counts == {"orbit": 92, "start": 38, "base": 36}
+
+
+def test_a_start_with_a_predecessor_walks_to_the_horizon(coll12):
+    """A generator of a pair of deficit at most 8 replaced by the nu1 image of
+    its class, which has an nd1_partition; the first also with the chain
+    started one dinv later, so its segment runs on from there.  check_chain
+    finds no maximal starts and walks to the amh horizon, and check_pair
+    gives the rows of the clause-by-clause check."""
+    counts = Counter()
+    for mu, star in coll12.pairs():
+        if sum(mu) > 8:
+            continue
+        chain = coll12.chain(mu)
+        for i, g in enumerate(chain.generators):
+            new = nu1(g)
+            if new is None:
+                continue
+            gens = chain.generators[:i] + [new] + chain.generators[i + 1 :]
+            damaged = [("replace", Chain(mu, chain.start_dinv, gens))]
+            if i == 0:
+                damaged.append(("start", Chain(mu, chain.start_dinv + 1, gens)))
+            for op, bad in damaged:
+                checked = check_chain(_copy(bad))
+                assert checked.starts is None, (mu, i, op)
+                assert len(checked.chain._parts) == bad.amh_horizon() - bad.start_dinv + 1, (mu, i, op)
+                partner = bad if star == mu else coll12.chain(star)
+                assert check_pair(bad, partner, sum(mu)) == check_pair_by_clauses(
+                    _copy(bad), _copy(partner), sum(mu)
+                ), (mu, i, op)
+                counts[op] += 1
+    assert counts == {"replace": 132, "start": 27}
+
+
+def test_a_start_copied_into_the_partner_fails_basic_e_by_the_walk(coll12):
+    """A non-final generator of the partner replaced by a generator of the
+    chain with the same dinv, in the pairs of deficit at most 10: check_pair
+    gives the rows of the clause-by-clause check.  Where both sides keep
+    maximal starts, the shared start fails basic-e, with the shared classes
+    of the walks to the horizons as witness."""
+    counts = Counter()
+    for mu, star in coll12.pairs():
+        if sum(mu) > 10 or mu == star:
+            continue
+        chain, partner = coll12.chain(mu), coll12.chain(star)
+        for g in chain.generators[:-1]:
+            for j, h in enumerate(partner.generators[:-1]):
+                if dinv(h) != dinv(g):
+                    continue
+                bad = Chain(star, partner.start_dinv, partner.generators[:j] + [g] + partner.generators[j + 1 :])
+                got = check_pair(_copy(chain), bad, sum(mu))
+                assert got == check_pair_by_clauses(_copy(chain), _copy(bad), sum(mu)), (mu, j)
+                both = None not in (check_chain(_copy(chain)).starts, check_chain(_copy(bad)).starts)
+                basic_e = [r for _, r in got if r.clause == "basic-e"]
+                if both:
+                    assert not basic_e[0].ok and basic_e[0].witness.startswith("shared classes"), (mu, j)
+                counts[both] += 1
+    assert counts == {True: 11, False: 3}
+
+
+def test_a_start_shared_across_a_deficit_fails_disjoint_by_the_walk(coll12):
+    """A non-final generator of one chain of deficit 2 to 8 replaced by a
+    different generator of another chain of the deficit with the same dinv,
+    the group's starts handed over as for a clean group: the disjoint row
+    gives the first witness of the walk to coverage_bound(k) + 10, also
+    where every chain keeps maximal starts and one start is shared."""
+    counts = Counter()
+    for k in range(2, 9):
+        mus = [m for m in coll12.members() if sum(m) == k]
+        for x in mus:
+            gens = coll12.chain(x).generators
+            for i, g in enumerate(gens[:-1]):
+                for y in mus:
+                    for h in coll12.chain(y).generators[:-1] if y != x else ():
+                        if dinv(h) != dinv(g) or h == g:
+                            continue
+                        group = {m: _copy(coll12.chain(m)) for m in mus}
+                        group[x] = Chain(x, coll12.chain(x).start_dinv, gens[:i] + [h] + gens[i + 1 :])
+                        starts = group_starts(group)
+                        got = _disjoint_fault(group, k, starts)
+                        assert got == disjoint_fault_by_walk(_fresh(group), k) != "", (x, i, y)
+                        counts[None not in starts] += 1
+    assert counts == {True: 134, False: 50}
+
+
+def test_a_repeated_segment_fails_basic_b_by_its_starts(coll12):
+    """A non-final generator of a pair of deficit at most 8 replaced by an
+    earlier one whose segment is as long, so the walk still ends at the base
+    class: the starts are maximal and repeat, basic-b fails, and check_pair
+    gives the rows of the clause-by-clause check."""
+    count = 0
+    for mu, star in coll12.pairs():
+        if sum(mu) > 8:
+            continue
+        chain = _copy(coll12.chain(mu))
+        chain.partitions_upto(chain.amh_horizon())
+        gens, at = chain.generators, chain._starts
+        size = [b - a for a, b in zip(at, at[1:])]
+        for j in range(len(gens) - 1):
+            for i in range(j):
+                if size[i] != size[j]:
+                    continue
+                bad = Chain(mu, chain.start_dinv, gens[:j] + [gens[i]] + gens[j + 1 :])
+                checked = check_chain(_copy(bad))
+                assert checked.starts is not None and not checked.rows[1].ok, (mu, i, j)
+                partner = bad if star == mu else coll12.chain(star)
+                assert check_pair(bad, partner, sum(mu)) == check_pair_by_clauses(
+                    _copy(bad), _copy(partner), sum(mu)
+                ), (mu, i, j)
+                count += 1
+    assert count == 220
+
+
+def test_a_final_generator_off_the_base_walks_the_orbit(coll12):
+    """The final generator of a pair of deficit at most 10 replaced by the
+    class of its dinv in another partition's orbit: check_chain finds no
+    base class at the base slot and walks the orbit to the amh horizon."""
+    count = 0
+    for mu, op, bad in extra_d_damage(coll12, 10):
+        if op == "base":
+            checked = check_chain(_copy(bad))
+            assert checked.starts is None, mu
+            assert len(checked.chain._parts) == bad.amh_horizon() - bad.start_dinv + 1, mu
+            count += 1
+    assert count == 36
 
 
 def partitions_to_size(n_max: int):
