@@ -334,7 +334,7 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
 
     for k, mus in sorted(by_k.items()):
         group = {mu: fresh(mu) for mu in mus}
-        starts: dict[Partition, list[Partition] | None] = {}
+        classes: dict[Partition, frozenset[Partition] | None] = {}
         clean = True
         for mu in mus:
             star = coll.pairing[mu]
@@ -346,7 +346,7 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
             theirs = ours if star == mu else check_chain(partner)
             pair = pair_rows(ours, theirs, k)
             rows += pair
-            starts |= {mu: ours.starts, star: theirs.starts}
+            classes |= {mu: ours.classes, star: theirs.classes}
             clean = clean and all(r.ok for _, r in pair)
             if opposite_n:
                 name = format_partition(mu)
@@ -354,43 +354,37 @@ def validate_collection(coll: ChainCollection, opposite_n: int = 0) -> list[tupl
                     rows += [(name, r) for r in opposite_bruteforce(chain, partner, opposite_n)]
                 except RuntimeError as e:
                     rows.append((name, CheckResult("opposite", False, str(e))))
-        clean = clean and starts.keys() == group.keys()
-        held = [p for s in starts.values() for p in s or [None]]
-        fault = _disjoint_fault(group, k, held if clean else None)
+        fault = _disjoint_fault(group, k, [classes.get(mu) for mu in group] if clean else None)
         disjoint.append((f"deficit {k}", CheckResult("disjoint", not fault, fault)))
     return rows + disjoint
 
 
 def _disjoint_fault(
-    chains: dict[Partition, Chain], k: int, starts: list[Partition | None] | None
+    chains: dict[Partition, Chain], k: int, classes: list[frozenset[Partition] | None] | None
 ) -> str:
-    """The first class two deficit-k chains share up to dinv d_hi, or the first walk
-    error; then, at a base deficit, the first dinv where the chains miss a class; "" if none.
+    """The first class two deficit-k chains share, or the first walk error; then,
+    at a base deficit, the first dinv where the chains miss a class; "" if none.
 
     The deficit-k classes at dinv d number count_partitions_max(k, d), so
     for k <= BASE_K_MAX the chains must be a disjoint union of all of them.
-    Classes are keyed and counted by their partitions.
-
-    starts, given when every chain passed check_pair with a partner among
-    chains, lists their ChainCheck.starts, None for a chain without them.
-    Then d_hi is the larger of k and the largest base dinv of the chains,
-    and the witness is the one a walk to coverage_bound(k) + 10 finds: past
-    its base dinv a passing chain is the nu1-orbit of its base class and
-    nd1_partition inverts nu1_partition, so two chains that share a class
-    above d_hi share one at d_hi, and each walk meets its classes in dinv
-    order.  Above d_hi each chain holds one class per dinv and
-    count_partitions_max(k, d) is p(k) for d >= k, so each count above
-    d_hi is the count at d_hi.  When no start is None or repeated, no class
-    is shared and nothing is walked.  Other groups walk to
+    Classes are keyed and counted by their partitions, walked to dinv
     coverage_bound(k) + 10.
+
+    classes, given when every chain passed check_pair with a partner among
+    chains, lists their ChainCheck.classes, None for a chain checked
+    elsewhere.  When none is None and no two meet, the closed chains share
+    no class (check_chain) and nothing is walked: each holds one class per
+    dinv from its start, and count_partitions_max(k, d) is p(k) for d >= k,
+    so the counts past the larger of k and the largest base dinv repeat the
+    count there.
     """
-    if starts is None:
-        d_hi = coverage_bound(k) + 10
-    else:
+    if classes is not None and None not in classes and (
+        sum(map(len, classes)) == len(frozenset().union(*classes))
+    ):
         d_hi = max([k, *(ti_dinv(chain.mu) for chain in chains.values())])
-    if starts and None not in starts and len(set(starts)) == len(starts):
         dinvs = (d for chain in chains.values() for d in range(chain.start_dinv, d_hi + 1))
     else:
+        d_hi = coverage_bound(k) + 10
         owner: dict[Partition, Partition] = {}
         for mu, chain in chains.items():
             try:

@@ -175,8 +175,9 @@ def report_lines(results: list[CheckResult]) -> list[str]:
     ]
 
 
-def _res(clause: str, ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(clause, ok, "" if ok else witness)
+def _res(clause: str, ok: bool, witness: Callable[[], str]) -> CheckResult:
+    """A row whose witness is built only when it fails."""
+    return CheckResult(clause, ok, "" if ok else witness())
 
 
 class ChainCheck(NamedTuple):
@@ -184,15 +185,15 @@ class ChainCheck(NamedTuple):
 
     rows are basic-a, basic-b, basic-d, local-a, local-b and extra-a to
     extra-d, in that order, and amh the descent data of its length profile.
-    starts holds the start partitions when the walk stopped at the base
-    slot, else None.  A chain that cannot be walked has the single failing
-    basic-a row and no amh.
+    classes holds the partitions of a closed chain's walk, else None.  A
+    chain that cannot be walked has the single failing basic-a row and no
+    amh.
     """
 
     chain: Chain
     rows: list[CheckResult]
     amh: AmhVectors | None
-    starts: list[Partition] | None
+    classes: frozenset[Partition] | None
 
     @property
     def ok(self) -> bool:
@@ -202,44 +203,38 @@ class ChainCheck(NamedTuple):
 def check_chain(chain: Chain) -> ChainCheck:
     """Walk chain once, on partitions, and run its one-chain rows.
 
-    The walk stops at the base slot when its starts are maximal
-    (_maximal_starts).  Past it the chain is then the nu1-orbit of the base
-    class, whose lengths, the staircase of ti_mind(mu), rise at once and
-    never drop: they add no descent and end no flat run, and no row reads a
-    length past the last descent.  Otherwise the walk goes on to the amh
-    horizon.  The length profile is the mind of each partition, carried
-    along the walk; class vectors are built only for witnesses.  A chain
-    that starts above its horizon fails basic-a alone.
+    The chain is closed when its element at the base slot, dinv
+    max(ti_dinv(mu), start), is the base class of mu; the walk stops there.
+    Past it a closed chain is the base class's nu1-orbit: its lengths, the
+    staircase of ti_mind(mu), rise at once and never drop, so they add no
+    descent, end no flat run, and no row reads them.  The base class has no
+    nd1_partition, so a walkable chain holding an orbit element before its
+    own base slot would run that segment into the slot, which raises: the
+    orbit repeats no class of the walk and meets another closed chain only
+    where their classes meet.  An open chain fails basic-a or basic-d (a
+    chain passing both holds ti(mu) at the base slot) and is walked on to
+    the amh horizon.  The length profile is the mind of each partition,
+    carried along the walk; class vectors are built only for witnesses.  A
+    chain that starts above its horizon fails basic-a alone.
     """
     try:
         parts = chain.partitions_upto(ti_dinv(chain.mu))
-        starts = _maximal_starts(chain, parts)
-        if starts is None:
+        closed = parts[-1:] == [partition_from_class(ti(chain.mu))]
+        if not closed:
             parts = chain.partitions_upto(chain.amh_horizon())
             if not parts:
                 raise RuntimeError(f"{chain} starts above its amh horizon {chain.amh_horizon()}")
     except RuntimeError as e:
-        return ChainCheck(chain, [_res("basic-a", False, str(e))], None, None)
+        return ChainCheck(chain, [CheckResult("basic-a", False, str(e))], None, None)
+    classes = frozenset(parts)
     prof = chain._minds[:len(parts)]
     amh = amh_vectors(chain.start_dinv, prof)
     rows = (
-        check_basic(chain, parts, prof, starts or parts)
+        check_basic(chain, parts, prof, classes)
         + check_local(chain, prof, amh)
         + check_extra(chain, parts, prof, amh)
     )
-    return ChainCheck(chain, rows, amh, starts)
-
-
-def _maximal_starts(chain: Chain, parts: list[Partition]) -> list[Partition] | None:
-    """The chain's start partitions when the last of parts, at the base slot,
-    is the base class of mu and no start has an nd1_partition, else None.
-    The base class has no nd1_partition, so it starts the final segment.
-    nd1_partition inverts nu1_partition, so two segments from such starts
-    are equal or share no class."""
-    if parts[-1:] != [partition_from_class(ti(chain.mu))]:
-        return None
-    starts = [parts[i] for i in chain._starts]
-    return starts if all(nd1_partition(p) is None for p in starts) else None
+    return ChainCheck(chain, rows, amh, classes if closed else None)
 
 
 def check_pair(chain: Chain, partner: Chain, k: int) -> list[tuple[str, CheckResult]]:
@@ -259,9 +254,9 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
     The chain's basic, local and extra rows come first, with the pair's
     basic-c and basic-e among them, then the partner's when it is another
     partition, then the pair's amh rows under the chain's name.  A chain
-    that cannot be walked gives its single failing basic-a row.  Two sides
-    with starts share a class exactly when they share a start; otherwise,
-    and for the witness, both are walked to their horizons.
+    that cannot be walked gives its single failing basic-a row.  Two closed
+    sides share a class exactly when their classes meet (check_chain);
+    otherwise, and for the witness, both are walked to their horizons.
     """
     for side in (ours, theirs):
         if side.amh is None:
@@ -272,16 +267,18 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
         basic_e = _res(
             "basic-e",
             chain.generators == partner.generators,
-            "self-paired chain differs from partner",
+            lambda: "self-paired chain differs from partner",
         )
     else:
-        shared = None in (ours.starts, theirs.starts) or set(ours.starts) & set(theirs.starts)
-        if shared:
+        shared: set[Partition] = set()
+        if None in (ours.classes, theirs.classes) or not ours.classes.isdisjoint(theirs.classes):
             shared = set(chain.partitions_upto(chain.amh_horizon())) & set(
                 partner.partitions_upto(partner.amh_horizon())
             )
         basic_e = _res(
-            "basic-e", not shared, f"shared classes {sorted(map(class_from_partition, shared))[:3]}"
+            "basic-e",
+            not shared,
+            lambda: f"shared classes {sorted(map(class_from_partition, shared))[:3]}",
         )
     names = [format_partition(side.chain.mu) for side in sides]
     rows: list[tuple[str, CheckResult]] = []
@@ -290,7 +287,8 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
         basic_c = _res(
             "basic-c",
             c.start_dinv == len(other.mu) and other.start_dinv == len(c.mu),
-            f"starts {c.start_dinv},{other.start_dinv} vs lengths {len(other.mu)},{len(c.mu)}",
+            lambda: f"starts {c.start_dinv},{other.start_dinv} "
+            f"vs lengths {len(other.mu)},{len(c.mu)}",
         )
         results = side.rows[:2] + [basic_c, side.rows[2], basic_e] + side.rows[3:]
         rows += [(name, r) for r in results]
@@ -298,16 +296,16 @@ def pair_rows(ours: ChainCheck, theirs: ChainCheck, k: int) -> list[tuple[str, C
 
 
 def check_basic(
-    chain: Chain, parts: list[Partition], prof: list[int], held: list[Partition]
+    chain: Chain, parts: list[Partition], prof: list[int], classes: frozenset[Partition]
 ) -> list[CheckResult]:
     """Deficit and dinv bookkeeping, distinct elements and ending orbit: basic-a, b and d.
 
-    parts holds the partitions of the chain's elements and prof their mind.
+    parts holds the partitions of the chain's elements, classes the set of
+    them and prof their mind.
     Dinv and the deficit |p| - dinv are read at segment starts only: each
     later element is nu1 of the one before, one more in dinv and in size.
     A stored generator must be the reduced vector of its class, of length
-    mind(p).  Basic-b compares held: parts, or the chain's maximal starts
-    (_maximal_starts), which are distinct exactly when the elements are.
+    mind(p).
     """
     mu = chain.mu
     k = sum(mu)
@@ -323,17 +321,17 @@ def check_basic(
         _res(
             "basic-a",
             not bad,
-            bad and f"element {gens[bad[0]]} at slot {chain.start_dinv + bad[0]}" or "",
+            lambda: f"element {gens[bad[0]]} at slot {chain.start_dinv + bad[0]}",
         ),
         _res(
             "basic-b",
-            len(set(held)) == len(held),
-            f"repeated element in chain for {format_partition(mu)}",
+            len(classes) == len(parts),
+            lambda: f"repeated element in chain for {format_partition(mu)}",
         ),
         _res(
             "basic-d",
             chain.generators[-1] == ti(mu),
-            f"last generator {chain.generators[-1]} is not the base vector of "
+            lambda: f"last generator {chain.generators[-1]} is not the base vector of "
             f"{format_partition(mu)}",
         ),
     ]
@@ -345,7 +343,7 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
         _res(
             "local-a",
             amh.a[-1] == ti_dinv(chain.mu),
-            f"last descent {amh.a[-1]} vs base dinv {ti_dinv(chain.mu)}",
+            lambda: f"last descent {amh.a[-1]} vs base dinv {ti_dinv(chain.mu)}",
         )
     ]
     ok = True
@@ -362,7 +360,7 @@ def check_local(chain: Chain, prof: list[int], amh: AmhVectors) -> list[CheckRes
             ok = False
             witness = f"run {i} is {run}, wanted prefix {want} with a rise"
             break
-    out.append(_res("local-b", ok, witness))
+    out.append(CheckResult("local-b", ok, witness))
     return out
 
 
@@ -383,7 +381,7 @@ def check_extra(
         elif amh.h[i] < amh.h[i - 1] and rising:
             valley = False
             break
-    out.append(_res("extra-a", valley, f"h vector {amh.h} is not a valley"))
+    out.append(_res("extra-a", valley, lambda: f"h vector {amh.h} is not a valley"))
 
     ok = True
     witness = ""
@@ -395,7 +393,7 @@ def check_extra(
             ok = False
             witness = f"run {i} exceeds {cap}"
             break
-    out.append(_res("extra-b", ok, witness))
+    out.append(CheckResult("extra-b", ok, witness))
 
     ok = True
     witness = ""
@@ -405,14 +403,16 @@ def check_extra(
             ok = False
             witness = f"element {class_from_partition(parts[i])} at {chain.start_dinv + i}"
             break
-    out.append(_res("extra-c", ok, witness))
+    out.append(CheckResult("extra-c", ok, witness))
 
     bottom, depart = _orbit_below(chain, parts)
     if bottom < chain.start_dinv:
         witness = f"extended orbit starts at {bottom}, below the chain"
-    else:
+    elif depart is not None:
         witness = f"extended orbit departs from the chain at dinv {depart}"
-    out.append(_res("extra-d", bottom >= chain.start_dinv and depart is None, witness))
+    else:
+        witness = ""
+    out.append(CheckResult("extra-d", not witness, witness))
     return out
 
 
@@ -444,7 +444,7 @@ def _orbit_below(chain: Chain, parts: list[Partition]) -> tuple[int, int | None]
 def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]:
     """Reversal symmetry of the descent data and the position identity."""
     out = [
-        _res("amh-a", amh.size == partner.size, f"sizes {amh.size} vs {partner.size}")
+        _res("amh-a", amh.size == partner.size, lambda: f"sizes {amh.size} vs {partner.size}")
     ]
     if amh.size != partner.size:
         return out
@@ -452,7 +452,7 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
         _res(
             "amh-b",
             amh.h == tuple(reversed(partner.h)) and amh.m == tuple(reversed(partner.m)),
-            f"h/m vectors {amh.h},{amh.m} vs reversed {partner.h},{partner.m}",
+            lambda: f"h/m vectors {amh.h},{amh.m} vs reversed {partner.h},{partner.m}",
         )
     )
     bad = [
@@ -460,7 +460,7 @@ def check_amh(amh: AmhVectors, partner: AmhVectors, k: int) -> list[CheckResult]
         for i in range(amh.size)
         if amh.a[i] + amh.m[i] + k + partner.a[amh.size - 1 - i] != comb(amh.h[i], 2)
     ]
-    out.append(_res("amh-c", not bad, bad and f"position identity fails at {bad[0]}" or ""))
+    out.append(_res("amh-c", not bad, lambda: f"position identity fails at {bad[0]}"))
     return out
 
 

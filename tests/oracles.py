@@ -40,9 +40,14 @@ from qtchains.tails import (
     ti_dinv,
 )
 from qtchains.verify import (
-    AmhVectors, Chain, CheckResult, _res, amh_vectors, check_amh, check_local, check_pair,
+    AmhVectors, Chain, CheckResult, amh_vectors, check_amh, check_local, check_pair,
     opposite_witness,
 )
+
+
+def _res(clause: str, ok: bool, witness: str) -> CheckResult:
+    """A row with its witness, kept only when it fails."""
+    return CheckResult(clause, ok, "" if ok else witness)
 
 
 def dinv_extended(v: Vector) -> int:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qtchains import builder, verify
 from qtchains.builder import ChainCollection, _disjoint_fault, extend_all, validate_collection
+from qtchains.cli import BUILD_MAX
 from qtchains.dyck import (
     Vector,
     class_from_partition,
@@ -69,7 +70,7 @@ def chain15(gens: list = GENS15) -> Chain:
 def basic(chain: Chain, d: int) -> list[CheckResult]:
     """check_basic on the chain's elements through dinv d: basic-a, b and d."""
     parts = chain.partitions_upto(d)
-    return check_basic(chain, parts, [mind(p) for p in parts], parts)
+    return check_basic(chain, parts, [mind(p) for p in parts], frozenset(parts))
 
 
 def lengths(chain: Chain, n_max: int) -> list[tuple[int, int]]:
@@ -182,7 +183,7 @@ def test_check_basic_looks_up_dinv_once_per_segment_start(monkeypatch):
     before = dinv.cache_info()
     for parts in (walked, walked[:4]):
         seen.clear()
-        assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts], parts))
+        assert all(r.ok for r in check_basic(c, parts, [mind(p) for p in parts], frozenset(parts)))
         assert seen == [parts[i] for i in c._starts if i < len(parts)]
     assert len(seen) == 2 and c._starts == [0, 2, 4, 6]
     assert dinv.cache_info() == before
@@ -294,11 +295,11 @@ DAMAGED_VARIANTS = 867
 DAMAGED_DIGEST = "5506fac25c22ca71ef85128623f12222309c1cf8321ad3da6f91d19ffe3e218f"
 
 
-def group_starts(group: dict) -> list:
-    """The ChainCheck.starts of the chains of group, None for a chain without
-    them, as validate_collection hands them to the disjoint row of a group
-    whose pair rows all pass."""
-    return [p for c in group.values() for p in check_chain(c).starts or [None]]
+def group_classes(group: dict) -> list:
+    """The ChainCheck.classes of the chains of group, None for a chain that is
+    open or cannot be walked, as validate_collection hands them to the
+    disjoint row of a group whose pair rows all pass."""
+    return [check_chain(c).classes for c in group.values()]
 
 
 def damaged_report(coll, k_max: int) -> list[str]:
@@ -321,8 +322,8 @@ def damaged_report(coll, k_max: int) -> list[str]:
             rows = check_pair(bad, bad if star == mu else coll.chain(star), k)
             out.append(f"{mu} {op} {i}")
             out += [f"  {ctx}: {line}" for (ctx, _), line in zip(rows, report_lines([r for _, r in rows]))]
-            starts = group_starts(group) if all(r.ok for _, r in rows) else None
-            out.append(f"  disjoint: {_disjoint_fault(group, k, starts)}")
+            classes = group_classes(group) if all(r.ok for _, r in rows) else None
+            out.append(f"  disjoint: {_disjoint_fault(group, k, classes)}")
     return out
 
 
@@ -339,13 +340,13 @@ def _fresh(group: dict) -> dict:
 
 def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
     """Every deficit of the deficit-16 and the generalized deficit-12
-    collections, each group clean as its pairs pass check_pair: the row
-    walked to the larger of k and the largest base dinv gives the witness
-    of the walk to coverage_bound(k) + 10.  From deficit 2 on, each group
-    is also tried with its first chain replaced by the bare final orbit of
-    one of its last three members, which shares only classes at or past
-    that member's base dinv; and each base deficit from 2 on without its
-    last chain, which leaves classes uncovered."""
+    collections, each group clean as its pairs pass check_pair, its chains
+    closed and their classes disjoint: the row, which walks nothing, gives
+    the witness of the walk to coverage_bound(k) + 10.  From deficit 2 on,
+    each group is also tried with its first chain replaced by the bare final
+    orbit of one of its last three members, which shares only classes at or
+    past that member's base dinv; and each base deficit from 2 on without
+    its last chain, which leaves classes uncovered."""
     shared = missing = 0
     for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
         for k in range(coll.k_max + 1):
@@ -355,19 +356,19 @@ def test_disjoint_row_matches_the_walk_oracle(base_coll, coll16):
                 for _, r in check_pair(group[mu], group[star], k)
             )
             assert clean
-            starts = group_starts(group)
-            assert None not in starts
-            assert _disjoint_fault(group, k, starts) == disjoint_fault_by_walk(_fresh(group), k), k
+            classes = group_classes(group)
+            assert None not in classes
+            assert _disjoint_fault(group, k, classes) == disjoint_fault_by_walk(_fresh(group), k), k
             first, *rest = group
             for mu in rest[-3:]:
                 damaged = {**group, first: Chain(mu, ti_dinv(mu), [ti(mu)])}
                 want = disjoint_fault_by_walk(_fresh(damaged), k)
-                assert _disjoint_fault(damaged, k, group_starts(damaged)) == want != "", (k, mu)
+                assert _disjoint_fault(damaged, k, group_classes(damaged)) == want != "", (k, mu)
                 shared += 1
             if k <= builder.BASE_K_MAX and rest:
                 damaged = {mu: group[mu] for mu in [first, *rest[:-1]]}
                 want = disjoint_fault_by_walk(_fresh(damaged), k)
-                assert _disjoint_fault(damaged, k, group_starts(damaged)) == want != "", k
+                assert _disjoint_fault(damaged, k, group_classes(damaged)) == want != "", k
                 missing += 1
     assert shared == 2 * (1 + 2 + 3 + 3) + 3 * (11 + 7)
     assert missing == 2 * 4
@@ -384,9 +385,9 @@ NU1_BY_VERIFY_16 = 12_077
 def test_verify_walks_each_chain_through_its_base_slot(monkeypatch, coll16):
     """validate_collection on the deficit-16 collection walks each chain
     through its base slot, at dinv max(ti_dinv(mu), start), and no further:
-    every chain there ends in the base class of mu with maximal segment
-    starts, so the rest of it is that class's orbit, whose lengths add no
-    descent, and the starts decide basic-b, basic-e and the disjoint rows.
+    every chain there is closed, its element there the base class of mu, so
+    the rest of it is that class's orbit, whose lengths add no descent, and
+    the classes walked decide basic-b, basic-e and the disjoint rows.
     No step is taken past the base slot, so each segment start but the
     first follows one nu1_partition call that returned None; basic-a reads
     one partition_dinv per generator."""
@@ -417,15 +418,16 @@ def test_verify_walks_each_chain_through_its_base_slot(monkeypatch, coll16):
 
 def test_check_chain_stops_at_the_base_slot_with_the_horizon_amh(base_coll, coll16):
     """Every chain of the deficit-16 and the generalized deficit-12
-    collections ends in the base class of mu with maximal starts:
-    check_chain walks it through its base slot only, holds the partitions
-    of its generators as starts, and its amh data are those of the
-    class-vector profile through the amh horizon."""
+    collections is closed: check_chain walks it through its base slot only,
+    holds the partitions of its classes there, and its amh data are those
+    of the class-vector profile through the amh horizon."""
     for coll in (coll16, extend_all(base_coll, 12, mode="generalized")):
         for mu, chain in coll.chains.items():
             checked = check_chain(_copy(chain))
             assert checked.ok, mu
-            assert checked.starts == [partition_from_class(g) for g in chain.generators], mu
+            walked = _copy(chain).elements_upto(ti_dinv(mu))
+            assert checked.classes == frozenset(map(partition_from_class, walked)), mu
+            assert len(checked.classes) == len(walked), mu
             assert len(checked.chain._parts) == ti_dinv(mu) - chain.start_dinv + 1, mu
             assert checked.amh == chain_amh(_copy(chain)), mu
 
@@ -776,8 +778,7 @@ def test_segments_from_maximal_starts_share_no_class():
     """nd1_partition inverts nu1_partition, so the first-order segments from
     partitions with no nd1_partition are equal or share no class: the 728
     such starts of size at most 18, each walked up to 40 steps, hold 3,010
-    classes, none twice.  check_chain reads basic-b, basic-e and the
-    disjoint row off the starts by it."""
+    classes, none twice."""
     owner: dict = {}
     starts = 0
     for n in range(19):
@@ -795,12 +796,22 @@ def test_segments_from_maximal_starts_share_no_class():
 
 
 def test_the_base_class_has_no_first_order_predecessor():
-    """The base class ti(mu) has no nd1_partition for every partition mu of
-    size at most 20, so an element at the base slot that is the base class
-    starts the final segment: _maximal_starts reads no segment index."""
-    bases = [partition_from_class(ti(mu)) for n in range(21) for mu in partitions_of(n)]
-    assert all(nd1_partition(p) is None for p in bases)
-    assert len(bases) == 2_714
+    """The base class ti(mu) has no nd1_partition, for every partition mu of
+    size at most BUILD_MAX: for nonempty mu the partition of ti(mu), of
+    length n, has n - 1 parts and first part n - 2, below its number of
+    parts, and ti of the empty partition has the empty partition.  So a
+    closed chain's final segment starts at its base slot, and no walkable
+    chain holds an element of the base class's orbit past it before its
+    own base slot (check_chain)."""
+    count = 0
+    for n in range(BUILD_MAX + 1):
+        for mu in partitions_of(n):
+            v = ti(mu)
+            p = partition_from_class(v)
+            assert (len(p), p[0]) == (len(v) - 1, len(v) - 2) if mu else p == (), mu
+            assert nd1_partition(p) is None, mu
+            count += 1
+    assert count == 7_338
 
 
 def test_start_reader_gives_the_reduced_length(base_coll, coll16):
@@ -941,12 +952,96 @@ def test_check_pair_matches_the_clause_oracle_on_extra_d_damage(coll12):
     assert counts == {"orbit": 92, "start": 38, "base": 36}
 
 
+def assert_closed_beyond_the_base_slot(chains: dict) -> None:
+    """Each chain of chains is closed, and no partition past its base slot,
+    walked through its amh horizon, lies in the classes of any of them: the
+    orbit past the slot repeats no class and meets no other chain."""
+    classes = [check_chain(_copy(c)).classes for c in chains.values()]
+    assert None not in classes
+    held = frozenset().union(*classes)
+    for c in chains.values():
+        c = _copy(c)
+        beyond = c.partitions_upto(c.amh_horizon())[ti_dinv(c.mu) - c.start_dinv + 1 :]
+        assert beyond and held.isdisjoint(beyond), c
+
+
+def damaged_chains(coll, k_max: int) -> Iterator[tuple[tuple, str, Chain]]:
+    """Each chain of deficit at most k_max with one generator duplicated,
+    dropped (when it has several) or replaced by the nu1 image of its class,
+    started one dinv below, at or above its start."""
+    for mu in coll.members():
+        if sum(mu) > k_max:
+            continue
+        chain = coll.chain(mu)
+        gens = chain.generators
+        for i, g in enumerate(gens):
+            variants = [("dup", gens[: i + 1] + gens[i:])]
+            if len(gens) > 1:
+                variants.append(("drop", gens[:i] + gens[i + 1 :]))
+            if (new := nu1(g)) is not None:
+                variants.append(("nu1", gens[:i] + [new] + gens[i + 1 :]))
+            for op, new_gens in variants:
+                for shift in (-1, 0, 1):
+                    yield mu, f"{op} {i} {shift:+d}", Chain(mu, chain.start_dinv + shift, new_gens)
+
+
+def test_an_open_chain_fails_basic_a_or_basic_d(coll12):
+    """A walkable chain that is not closed fails basic-a or basic-d: a chain
+    passing both holds its final generator ti(mu) at dinv ti_dinv(mu), the
+    base slot.  So every chain of a clean group is closed.  Pinned on the
+    damaged chains of deficit at most 10 (damaged_chains)."""
+    counts = Counter()
+    for mu, op, bad in damaged_chains(coll12, 10):
+        checked = check_chain(bad)
+        if checked.amh is None:
+            kind = "unwalkable"
+        elif checked.classes is None:
+            rows = {r.clause: r.ok for r in checked.rows}
+            assert not (rows["basic-a"] and rows["basic-d"]), (mu, op)
+            kind = "open"
+        else:
+            kind = "closed"
+        counts[kind] += 1
+    assert counts == {"open": 2_007, "closed": 378, "unwalkable": 1_521}
+
+
+def test_a_closed_chain_keeps_its_classes_beyond_the_base_slot(coll12):
+    """Every closed chain among the damaged chains of deficit at most 10
+    (damaged_chains) and the extra-d damage, walked on to its amh horizon:
+    no partition past its base slot lies in its classes, so the walk through
+    the slot decides basic-b."""
+    count = 0
+    for mu, op, bad in [*damaged_chains(coll12, 10), *extra_d_damage(coll12, 10)]:
+        if check_chain(_copy(bad)).classes is not None:
+            assert_closed_beyond_the_base_slot({mu: bad})
+            count += 1
+    assert count == 416
+
+
+def test_passing_rows_build_no_witness(monkeypatch, coll12):
+    """check_chain and check_amh on every pair of the deficit-12 collection
+    format no partition and build no class vector: a witness is built only
+    for a failing row."""
+    calls = Counter()
+    for name in ("format_partition", "class_from_partition"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, name=name, real=real: calls.update([name]) or real(*a))
+    for mu, star in coll12.pairs():
+        ours = check_chain(_copy(coll12.chain(mu)))
+        theirs = check_chain(_copy(coll12.chain(star)))
+        assert ours.ok and theirs.ok, mu
+        assert all(r.ok for r in check_amh(ours.amh, theirs.amh, sum(mu))), mu
+    assert calls == Counter()
+
+
 def test_a_start_with_a_predecessor_walks_to_the_horizon(coll12):
     """A generator of a pair of deficit at most 8 replaced by the nu1 image of
     its class, which has an nd1_partition; the first also with the chain
     started one dinv later, so its segment runs on from there.  check_chain
-    finds no maximal starts and walks to the amh horizon, and check_pair
-    gives the rows of the clause-by-clause check."""
+    walks a closed chain through its base slot and an open one to the amh
+    horizon, and check_pair gives the rows of the clause-by-clause check.
+    Only the later starts that leave the chain's first element out stay
+    closed, 24 of them."""
     counts = Counter()
     for mu, star in coll12.pairs():
         if sum(mu) > 8:
@@ -962,21 +1057,22 @@ def test_a_start_with_a_predecessor_walks_to_the_horizon(coll12):
                 damaged.append(("start", Chain(mu, chain.start_dinv + 1, gens)))
             for op, bad in damaged:
                 checked = check_chain(_copy(bad))
-                assert checked.starts is None, (mu, i, op)
-                assert len(checked.chain._parts) == bad.amh_horizon() - bad.start_dinv + 1, (mu, i, op)
+                closed = checked.classes is not None
+                end = ti_dinv(mu) if closed else bad.amh_horizon()
+                assert len(checked.chain._parts) == end - bad.start_dinv + 1, (mu, i, op)
                 partner = bad if star == mu else coll12.chain(star)
                 assert check_pair(bad, partner, sum(mu)) == check_pair_by_clauses(
                     _copy(bad), _copy(partner), sum(mu)
                 ), (mu, i, op)
-                counts[op] += 1
-    assert counts == {"replace": 132, "start": 27}
+                counts[op, closed] += 1
+    assert counts == {("replace", False): 132, ("start", False): 3, ("start", True): 24}
 
 
 def test_a_start_copied_into_the_partner_fails_basic_e_by_the_walk(coll12):
     """A non-final generator of the partner replaced by a generator of the
     chain with the same dinv, in the pairs of deficit at most 10: check_pair
-    gives the rows of the clause-by-clause check.  Where both sides keep
-    maximal starts, the shared start fails basic-e, with the shared classes
+    gives the rows of the clause-by-clause check.  Where both sides stay
+    closed, their classes meet and basic-e fails, with the shared classes
     of the walks to the horizons as witness."""
     counts = Counter()
     for mu, star in coll12.pairs():
@@ -990,10 +1086,11 @@ def test_a_start_copied_into_the_partner_fails_basic_e_by_the_walk(coll12):
                 bad = Chain(star, partner.start_dinv, partner.generators[:j] + [g] + partner.generators[j + 1 :])
                 got = check_pair(_copy(chain), bad, sum(mu))
                 assert got == check_pair_by_clauses(_copy(chain), _copy(bad), sum(mu)), (mu, j)
-                both = None not in (check_chain(_copy(chain)).starts, check_chain(_copy(bad)).starts)
+                both = None not in (check_chain(_copy(chain)).classes, check_chain(_copy(bad)).classes)
                 basic_e = [r for _, r in got if r.clause == "basic-e"]
                 if both:
                     assert not basic_e[0].ok and basic_e[0].witness.startswith("shared classes"), (mu, j)
+                    assert_closed_beyond_the_base_slot({mu: chain, star: bad})
                 counts[both] += 1
     assert counts == {True: 11, False: 3}
 
@@ -1001,9 +1098,9 @@ def test_a_start_copied_into_the_partner_fails_basic_e_by_the_walk(coll12):
 def test_a_start_shared_across_a_deficit_fails_disjoint_by_the_walk(coll12):
     """A non-final generator of one chain of deficit 2 to 8 replaced by a
     different generator of another chain of the deficit with the same dinv,
-    the group's starts handed over as for a clean group: the disjoint row
+    the group's classes handed over as for a clean group: the disjoint row
     gives the first witness of the walk to coverage_bound(k) + 10, also
-    where every chain keeps maximal starts and one start is shared."""
+    where every chain stays closed and two chains' classes meet."""
     counts = Counter()
     for k in range(2, 9):
         mus = [m for m in coll12.members() if sum(m) == k]
@@ -1016,18 +1113,20 @@ def test_a_start_shared_across_a_deficit_fails_disjoint_by_the_walk(coll12):
                             continue
                         group = {m: _copy(coll12.chain(m)) for m in mus}
                         group[x] = Chain(x, coll12.chain(x).start_dinv, gens[:i] + [h] + gens[i + 1 :])
-                        starts = group_starts(group)
-                        got = _disjoint_fault(group, k, starts)
+                        classes = group_classes(group)
+                        got = _disjoint_fault(group, k, classes)
                         assert got == disjoint_fault_by_walk(_fresh(group), k) != "", (x, i, y)
-                        counts[None not in starts] += 1
+                        counts[None not in classes] += 1
+                        if None not in classes:
+                            assert_closed_beyond_the_base_slot(group)
     assert counts == {True: 134, False: 50}
 
 
-def test_a_repeated_segment_fails_basic_b_by_its_starts(coll12):
+def test_a_repeated_segment_fails_basic_b_by_its_classes(coll12):
     """A non-final generator of a pair of deficit at most 8 replaced by an
     earlier one whose segment is as long, so the walk still ends at the base
-    class: the starts are maximal and repeat, basic-b fails, and check_pair
-    gives the rows of the clause-by-clause check."""
+    class: the chain is closed, its classes are fewer than its walk, basic-b
+    fails, and check_pair gives the rows of the clause-by-clause check."""
     count = 0
     for mu, star in coll12.pairs():
         if sum(mu) > 8:
@@ -1042,7 +1141,9 @@ def test_a_repeated_segment_fails_basic_b_by_its_starts(coll12):
                     continue
                 bad = Chain(mu, chain.start_dinv, gens[:j] + [gens[i]] + gens[j + 1 :])
                 checked = check_chain(_copy(bad))
-                assert checked.starts is not None and not checked.rows[1].ok, (mu, i, j)
+                assert checked.classes is not None and not checked.rows[1].ok, (mu, i, j)
+                assert len(checked.classes) < len(checked.chain._parts), (mu, i, j)
+                assert_closed_beyond_the_base_slot({mu: bad})
                 partner = bad if star == mu else coll12.chain(star)
                 assert check_pair(bad, partner, sum(mu)) == check_pair_by_clauses(
                     _copy(bad), _copy(partner), sum(mu)
@@ -1059,7 +1160,7 @@ def test_a_final_generator_off_the_base_walks_the_orbit(coll12):
     for mu, op, bad in extra_d_damage(coll12, 10):
         if op == "base":
             checked = check_chain(_copy(bad))
-            assert checked.starts is None, mu
+            assert checked.classes is None, mu
             assert len(checked.chain._parts) == bad.amh_horizon() - bad.start_dinv + 1, mu
             count += 1
     assert count == 36
